@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "src/common/clock.h"
+
 namespace jnvm::server {
 
 namespace {
@@ -131,8 +133,12 @@ void Client::PipeCommand(const std::vector<std::string>& args) {
   ++queued_;
 }
 
-bool Client::Sync(std::vector<RespReply>* out) {
+bool Client::Sync(std::vector<RespReply>* out,
+                  std::vector<uint64_t>* reply_ns) {
   out->clear();
+  if (reply_ns != nullptr) {
+    reply_ns->clear();
+  }
   if (!WriteAll(outbuf_.data(), outbuf_.size())) {
     outbuf_.clear();
     queued_ = 0;
@@ -146,6 +152,9 @@ bool Client::Sync(std::vector<RespReply>* out) {
     RespReply r;
     if (!ReadReply(&r)) {
       return false;
+    }
+    if (reply_ns != nullptr) {
+      reply_ns->push_back(NowNs());
     }
     out->push_back(std::move(r));
   }

@@ -74,8 +74,12 @@ class Client {
     PipeCommand({"HSET", key, std::to_string(field), value});
   }
   // Flushes the queue and reads exactly as many replies as were queued.
-  // False on I/O error (replies gathered so far are in *out).
-  bool Sync(std::vector<RespReply>* out);
+  // False on I/O error (replies gathered so far are in *out). When
+  // `reply_ns` is non-null, (*reply_ns)[i] is the NowNs() at which reply i
+  // was parsed, so a pipelined op's latency is its own send → reply time,
+  // not the round trip of the whole pipeline.
+  bool Sync(std::vector<RespReply>* out,
+            std::vector<uint64_t>* reply_ns = nullptr);
 
   // Sends one command and reads one reply; the workhorse behind the helpers.
   bool Roundtrip(const std::vector<std::string>& args, RespReply* reply);

@@ -13,8 +13,10 @@
 #include <array>
 #include <cctype>
 #include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <map>
 
 #include "src/common/check.h"
@@ -83,7 +85,8 @@ bool SplitHostPort(const std::string& s, std::string* host, uint16_t* port) {
 }
 
 // Relaxed counter bump: each LoopCounters slot is written by one loop thread
-// and only read cross-thread by STATS aggregation.
+// (wake_writes: by whichever thread wakes the loop) and only read
+// cross-thread by STATS aggregation.
 inline void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
   c.fetch_add(n, std::memory_order_relaxed);
 }
@@ -93,6 +96,8 @@ inline uint64_t Rd(const std::atomic<uint64_t>& c) {
 }
 
 }  // namespace
+
+thread_local Server::Loop* Server::current_loop_ = nullptr;
 
 std::string ShutdownReport::Summary() const {
   std::string s;
@@ -151,6 +156,10 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
       return nullptr;
     }
   }
+
+  // A flush to a peer that already closed must fail with EPIPE (the loop
+  // then closes the connection), not kill the process with SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
 
   auto s = std::unique_ptr<Server>(new Server());
   s->opts_ = opts;
@@ -294,6 +303,12 @@ std::unique_ptr<Server> Server::Start(const ServerOptions& opts,
   for (uint32_t i = 0; i < opts.nshards; ++i) {
     s->shards_.push_back(Shard::Open(s->opts_.shard, i, s.get()));
   }
+  if (opts.nshards <= nloops) {
+    // Run-to-completion: loop i executes shard i's batches itself.
+    for (uint32_t i = 0; i < opts.nshards; ++i) {
+      s->loops_[i]->home = s->shards_[i].get();
+    }
+  }
   if (s->cluster_ != nullptr) {
     std::vector<Shard*> raw;
     raw.reserve(s->shards_.size());
@@ -377,12 +392,12 @@ void Server::RequestShutdown() {
   }
 }
 
-Server::Loop& Server::LoopFor(uint64_t conn_id) {
+uint32_t Server::LoopIndexFor(uint64_t conn_id) const {
   const uint64_t idx = conn_id >> kLoopShift;
   if (idx == 0 || idx > loops_.size()) {
-    return *loops_[0];  // internal (conn_id 0) work homes on loop 0
+    return 0;  // internal (conn_id 0) work homes on loop 0
   }
-  return *loops_[idx - 1];
+  return static_cast<uint32_t>(idx - 1);
 }
 
 void Server::WakeLoop(Loop& lp) {
@@ -397,25 +412,88 @@ void Server::WakeLoop(Loop& lp) {
   do {
     n = ::write(lp.wake_w, &b, 1);
   } while (n < 0 && errno == EINTR);
+  Bump(lp.counters.wake_writes);
+}
+
+void Server::SignalLoop(Loop& lp) {
+  // Only the first completion after a drain pays the pipe write; the rest
+  // find the wake already pending. seq_cst pairs with the drain's clear:
+  // a completion pushed after the drain's swap sees the cleared flag.
+  if (!lp.wake_pending.exchange(true)) {
+    WakeLoop(lp);
+  }
+}
+
+bool Server::PostsLocally(const Loop& lp) const {
+  // A loop posting to itself skips the lock and the wake-up — unless a
+  // cross-thread completion is already pending, which must drain first:
+  // stream frames from successive batches keep their seal order whichever
+  // executor sealed them.
+  return &lp == current_loop_ && !lp.wake_pending.load();
 }
 
 void Server::OnCompletion(Completion&& c) {
-  // Called from shard workers and from any loop (inline joins). The loop
-  // index rides in the conn id's high bits, so every completion source —
-  // batch replies, released WAIT parks, released session reads, stream
-  // frames, txn phase joins — lands on the loop owning the connection.
   Loop& lp = LoopFor(c.conn_id);
+  if (PostsLocally(lp)) {
+    lp.local_completions.push_back(std::move(c));
+    return;
+  }
   {
     std::lock_guard<std::mutex> lk(lp.mu);
     lp.completions.push_back(std::move(c));
   }
-  WakeLoop(lp);
+  SignalLoop(lp);
+}
+
+void Server::OnCompletions(std::vector<Completion>& cs) {
+  // Called from shard workers and from any loop (inline batches and joins).
+  // The loop index rides in the conn id's high bits, so every completion
+  // source — batch replies, released WAIT parks, released session reads,
+  // stream frames, txn phase joins — lands on the loop owning the
+  // connection, taking each destination's lock once per call.
+  uint64_t targets = 0;  // bit i: loop i receives something (loops <= 64)
+  for (const Completion& c : cs) {
+    targets |= 1ull << LoopIndexFor(c.conn_id);
+  }
+  while (targets != 0) {
+    const uint32_t li = static_cast<uint32_t>(__builtin_ctzll(targets));
+    targets &= targets - 1;
+    Loop& lp = *loops_[li];
+    const auto take = [&](std::vector<Completion>& dst) {
+      for (Completion& c : cs) {
+        if (LoopIndexFor(c.conn_id) == li) {
+          if (c.frame != nullptr) {
+            // Counted at hand-off, not at drain: frames ship before their
+            // batch's replies, so a STATS read after the ack includes them
+            // even when the subscriber's loop has not drained yet.
+            Bump(lp.counters.frame_refs);
+            Bump(lp.counters.frame_bytes, c.frame->size());
+          }
+          dst.push_back(std::move(c));
+        }
+      }
+    };
+    if (PostsLocally(lp)) {
+      take(lp.local_completions);
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lk(lp.mu);
+      take(lp.completions);
+    }
+    SignalLoop(lp);
+  }
+  cs.clear();
 }
 
 void Server::EventLoop(Loop& lp) {
+  current_loop_ = &lp;
   std::vector<Poller::Event> events;
   for (;;) {
-    lp.poller->Wait(&events, 100);
+    // Work this thread owes itself (a bounded pass left some, or posted
+    // completions are undrained) only peeks at readiness.
+    const bool busy = lp.home_work || !lp.local_completions.empty();
+    lp.poller->Wait(&events, busy ? 0 : 100);
     // External shutdown request (RequestShutdown / ~Server): exactly one
     // loop claims coordination; the rest follow the phase variable.
     if (shutdown_requested_.load(std::memory_order_acquire) &&
@@ -496,7 +574,32 @@ void Server::EventLoop(Loop& lp) {
         HandleReadable(lp, *lp.conns[id]);
       }
     }
+    if (!lp.exiting) {
+      RunHomeShard(lp);
+    }
   }
+}
+
+void Server::RunHomeShard(Loop& lp) {
+  if (lp.home_work) {
+    // Everything this round queued on the home shard becomes its group
+    // commit, executed here — no worker wake-up, no completion hand-off.
+    lp.home_work = lp.home->RunInline();
+  }
+  if (!lp.local_completions.empty()) {
+    DrainCompletions(lp);  // flushes in this same round
+  }
+}
+
+Shard::SubmitResult Server::TrySubmitFrom(Loop& lp, uint32_t shard_idx,
+                                          Request&& req) {
+  Shard* sh = shards_[shard_idx].get();
+  const bool inline_run = &lp == current_loop_ && lp.home == sh;
+  const Shard::SubmitResult r = sh->TrySubmit(std::move(req), !inline_run);
+  if (inline_run && r == Shard::SubmitResult::kOk) {
+    lp.home_work = true;
+  }
+  return r;
 }
 
 void Server::AcceptPending(Loop& lp) {
@@ -702,7 +805,7 @@ void Server::PauseReads(Loop& lp, Conn& conn) {
 bool Server::SubmitOrStall(Loop& lp, Conn& conn, uint32_t shard_idx,
                            Request&& req) {
   if (conn.stalled.empty()) {
-    switch (shards_[shard_idx]->TrySubmit(std::move(req))) {
+    switch (TrySubmitFrom(lp, shard_idx, std::move(req))) {
       case Shard::SubmitResult::kOk:
         return true;
       case Shard::SubmitResult::kStopped:
@@ -735,7 +838,7 @@ void Server::RetryStalled(Loop& lp) {
     while (!conn.stalled.empty()) {
       StalledRequest& front = conn.stalled.front();
       const Shard::SubmitResult r =
-          shards_[front.shard]->TrySubmit(std::move(front.req));
+          TrySubmitFrom(lp, front.shard, std::move(front.req));
       if (r == Shard::SubmitResult::kFull) {
         break;
       }
@@ -1773,7 +1876,7 @@ void Server::SubmitTxn(Loop& lp, uint32_t shard_idx, Request&& req) {
   // read-pauses a connection. Full queues park the request here and retry
   // on loop ticks / completion drains; a stopping shard fails the txn and
   // counts the phase join down itself so the reply still resolves.
-  switch (shards_[shard_idx]->TrySubmit(std::move(req))) {
+  switch (TrySubmitFrom(lp, shard_idx, std::move(req))) {
     case Shard::SubmitResult::kOk:
       return;
     case Shard::SubmitResult::kFull:
@@ -1830,10 +1933,19 @@ void Server::ResolveCrossShardTxns(Loop& lp) {
 }
 
 void Server::DrainCompletions(Loop& lp) {
+  // Own-thread completions first: each was posted while no cross-thread
+  // completion was pending, so it precedes everything queued there.
   std::vector<Completion> batch;
-  {
+  batch.swap(lp.local_completions);
+  if (lp.wake_pending.exchange(false)) {
     std::lock_guard<std::mutex> lk(lp.mu);
-    batch.swap(lp.completions);
+    if (batch.empty()) {
+      batch.swap(lp.completions);
+    } else {
+      std::move(lp.completions.begin(), lp.completions.end(),
+                std::back_inserter(batch));
+      lp.completions.clear();
+    }
   }
   // Flushes are deferred to the end of the round: every completion a
   // connection receives in this drain lands in its chunk queue first, then
@@ -1869,8 +1981,6 @@ void Server::DrainCompletions(Loop& lp) {
       // subscriber that stops reading is evicted at the same backlog as
       // with private copies.
       if (c.frame != nullptr) {
-        Bump(lp.counters.frame_refs);
-        Bump(lp.counters.frame_bytes, c.frame->size());
         conn.AppendFrame(std::move(c.frame));
       } else {
         conn.AppendOut(std::move(c.reply));  // backlog replay path
@@ -1972,7 +2082,7 @@ std::string Server::BuildStats(Loop& lp) {
   // or loses increments under --loops > 1.
   uint64_t conns = 0, accepted = 0, commands = 0, proto_errs = 0;
   uint64_t in_ovf = 0, out_ovf = 0, fsys = 0, fbytes = 0, fchunks = 0;
-  uint64_t bflush = 0, frefs = 0, fbytes_ref = 0, moved = 0;
+  uint64_t bflush = 0, frefs = 0, fbytes_ref = 0, moved = 0, wakes = 0;
   for (const auto& l : loops_) {
     const LoopCounters& c = l->counters;
     conns += Rd(c.open_conns);
@@ -1988,6 +2098,7 @@ std::string Server::BuildStats(Loop& lp) {
     frefs += Rd(c.frame_refs);
     fbytes_ref += Rd(c.frame_bytes);
     moved += Rd(c.moved_replies);
+    wakes += Rd(c.wake_writes);
   }
   std::snprintf(line, sizeof(line),
                 "server: shards=%zu batch=%u backend=%s poller=%s loops=%zu "
@@ -2007,14 +2118,15 @@ std::string Server::BuildStats(Loop& lp) {
   std::snprintf(line, sizeof(line),
                 "output: flush_syscalls=%llu flushed_bytes=%llu "
                 "chunks_per_flush=%llu.%02llu batch_flushes=%llu "
-                "frame_refs=%llu frame_bytes=%llu\n",
+                "frame_refs=%llu frame_bytes=%llu wake_writes=%llu\n",
                 static_cast<unsigned long long>(fsys),
                 static_cast<unsigned long long>(fbytes),
                 static_cast<unsigned long long>(cpf100 / 100),
                 static_cast<unsigned long long>(cpf100 % 100),
                 static_cast<unsigned long long>(bflush),
                 static_cast<unsigned long long>(frefs),
-                static_cast<unsigned long long>(fbytes_ref));
+                static_cast<unsigned long long>(fbytes_ref),
+                static_cast<unsigned long long>(wakes));
   out += line;
   uint64_t records = 0, elided = 0, puts = 0, gets = 0, updates = 0, dels = 0;
   uint64_t txn_prep = 0, txn_comm = 0, txn_abrt = 0, txn_infl = 0, txn_dec = 0;
@@ -2039,7 +2151,8 @@ std::string Server::BuildStats(Loop& lp) {
         "shard%u: records=%llu queue=%llu batches=%llu max_batch=%llu "
         "elided_fences=%llu puts=%llu gets=%llu misses=%llu updates=%llu "
         "deletes=%llu bytes_w=%llu bytes_r=%llu cache_hits=%llu "
-        "cache_misses=%llu psyncs=%llu pfences=%llu\n",
+        "cache_misses=%llu psyncs=%llu pfences=%llu inline_batches=%llu "
+        "worker_batches=%llu\n",
         sh->index(), static_cast<unsigned long long>(s.records),
         static_cast<unsigned long long>(s.queue_depth),
         static_cast<unsigned long long>(s.batches),
@@ -2055,7 +2168,9 @@ std::string Server::BuildStats(Loop& lp) {
         static_cast<unsigned long long>(s.cache.hits),
         static_cast<unsigned long long>(s.cache.misses),
         static_cast<unsigned long long>(s.device.psyncs),
-        static_cast<unsigned long long>(s.device.pfences));
+        static_cast<unsigned long long>(s.device.pfences),
+        static_cast<unsigned long long>(s.inline_batches),
+        static_cast<unsigned long long>(s.worker_batches));
     out += line;
     if (s.repl.enabled) {
       std::snprintf(

@@ -6,10 +6,15 @@
 // hands fds off round-robin through per-loop inboxes), and a connection is
 // pinned to its accepting loop for life — all of its socket I/O, parsing and
 // reply assembly happen on that one thread, so per-connection state needs no
-// locks. Requests flow any loop → shard MPSC queue; completions flow back
-// through a per-loop completion queue selected by the loop index encoded in
-// the connection id, and a per-loop self-pipe byte wakes the owner. Replies
-// are delivered in per-connection command order (src/server/conn.h).
+// locks. Requests flow any loop → shard MPSC queue. When shards <= loops,
+// loop i is shard i's *home loop*: it queues its own requests for shard i
+// without waking the worker and runs them inline at the end of its poll
+// round, so its completions come straight back to its own thread (no lock,
+// no wake-up). Every other completion flows back through a per-loop
+// completion queue selected by the loop index encoded in the connection id;
+// the first one after a drain writes the loop's self-pipe byte, later ones
+// ride on it. Replies are delivered in per-connection command order
+// (src/server/conn.h).
 //
 // Commands (RESP arrays of bulk strings; names case-insensitive):
 //   PING                       +PONG
@@ -148,10 +153,11 @@ struct ShutdownReport {
   std::string Summary() const;
 };
 
-// Per-loop counters. Each is mutated only by its owning loop thread, but
-// STATS (served on whichever loop got the command) aggregates across all
-// loops, so the slots are relaxed atomics — an aggregate can lag a few
-// operations but can never be torn or lose increments.
+// Per-loop counters. Each is mutated only by its owning loop thread (except
+// wake_writes, bumped by the waking thread), but STATS (served on whichever
+// loop got the command) aggregates across all loops, so the slots are
+// relaxed atomics — an aggregate can lag a few operations but can never be
+// torn or lose increments.
 struct LoopCounters {
   std::atomic<uint64_t> accepted{0};
   std::atomic<uint64_t> commands{0};
@@ -163,10 +169,12 @@ struct LoopCounters {
   std::atomic<uint64_t> flushed_bytes{0};   // bytes the kernel accepted
   std::atomic<uint64_t> flush_chunks{0};    // chunks submitted across those
   std::atomic<uint64_t> batch_flushes{0};   // WritevBatch submissions (uring)
-  std::atomic<uint64_t> frame_refs{0};      // shared frames enqueued by ref
+  std::atomic<uint64_t> frame_refs{0};      // shared frames handed over by ref
   std::atomic<uint64_t> frame_bytes{0};     // logical bytes those refs share
   std::atomic<uint64_t> moved_replies{0};   // cluster -MOVED redirects
   std::atomic<uint64_t> open_conns{0};      // live connections on this loop
+  // Self-pipe writes that woke this loop (bumped by the waking thread).
+  std::atomic<uint64_t> wake_writes{0};
 };
 
 class Server : public CompletionSink {
@@ -203,6 +211,7 @@ class Server : public CompletionSink {
   // CompletionSink (called from shard workers and any loop): routes the
   // completion to the loop owning its connection and wakes it.
   void OnCompletion(Completion&& c) override;
+  void OnCompletions(std::vector<Completion>& cs) override;
 
  private:
   // Everything one event-loop thread owns. Connections live and die on one
@@ -222,6 +231,22 @@ class Server : public CompletionSink {
     std::mutex mu;  // guards completions + fd_inbox (the cross-thread doors)
     std::vector<Completion> completions;
     std::vector<int> fd_inbox;  // accepted fds handed off by loop 0
+    // Set by the first cross-thread completion after a drain, which alone
+    // writes the wake pipe; DrainCompletions clears it before it swaps
+    // `completions` out.
+    std::atomic<bool> wake_pending{false};
+    // Completions this loop's own thread posted to itself (inline batches,
+    // acks, ticks) while no cross-thread completion was pending: no lock,
+    // no wake-up; drained before `completions`, which preserves emission
+    // order.
+    std::vector<Completion> local_completions;
+
+    // Run-to-completion (DESIGN.md §7): the shard this loop executes inline
+    // (shard i for loop i when shards <= loops), else null. home_work is
+    // set when the loop queued work on it (or a bounded pass left some) and
+    // makes the next poll non-blocking.
+    Shard* home = nullptr;
+    bool home_work = false;
 
     // Connections with a non-empty stall queue (backpressure), retried
     // after completions drain and on each loop tick.
@@ -242,8 +267,15 @@ class Server : public CompletionSink {
   // Loop index lives in bits 48+ of the conn id (loop 1 = pool index 0, so
   // id 0 keeps meaning "no connection" / internal).
   static constexpr int kLoopShift = 48;
-  Loop& LoopFor(uint64_t conn_id);
+  uint32_t LoopIndexFor(uint64_t conn_id) const;
+  Loop& LoopFor(uint64_t conn_id) { return *loops_[LoopIndexFor(conn_id)]; }
   void WakeLoop(Loop& lp);
+  // Cross-thread completion handoff: wakes `lp` unless a wake is pending.
+  void SignalLoop(Loop& lp);
+  // True when a completion for `lp` may go to its local_completions.
+  bool PostsLocally(const Loop& lp) const;
+  // The loop the calling thread runs (null off the loop threads).
+  static thread_local Loop* current_loop_;
 
   void EventLoop(Loop& lp);
   void AcceptPending(Loop& lp);
@@ -279,6 +311,13 @@ class Server : public CompletionSink {
   // Queues `req` on shard `shard_idx` or stalls it on the connection
   // (read-pause backpressure). False = shard stopping; caller replies -ERR.
   bool SubmitOrStall(Loop& lp, Conn& conn, uint32_t shard_idx, Request&& req);
+  // Every loop-side TrySubmit: on the shard's home loop the worker is not
+  // woken and the loop owes the shard an inline pass this round.
+  Shard::SubmitResult TrySubmitFrom(Loop& lp, uint32_t shard_idx,
+                                    Request&& req);
+  // End of a poll round: the home shard's bounded inline pass, then the
+  // completions it (and anything else on this thread) posted, flushed.
+  void RunHomeShard(Loop& lp);
   // Re-drives stalled requests after shard queues drained; resumes reading
   // and parsing when a connection's stall queue empties.
   void RetryStalled(Loop& lp);

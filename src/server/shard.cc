@@ -232,7 +232,7 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
   }
 
   // Per-slot accounting starts from the recovered store; every later
-  // mutation adjusts it incrementally on the worker thread.
+  // mutation adjusts it incrementally in the batch executor.
   s->RebuildSlotCounts();
 
   s->worker_ = std::thread(&Shard::WorkerLoop, s.get());
@@ -298,7 +298,7 @@ bool Shard::Submit(Request&& req) {
   return true;
 }
 
-Shard::SubmitResult Shard::TrySubmit(Request&& req) {
+Shard::SubmitResult Shard::TrySubmit(Request&& req, bool wake) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stopping_) {
@@ -309,8 +309,51 @@ Shard::SubmitResult Shard::TrySubmit(Request&& req) {
     }
     queue_.push_back(std::move(req));
   }
-  not_empty_.notify_one();
+  if (wake) {
+    not_empty_.notify_one();
+  }
   return SubmitResult::kOk;
+}
+
+bool Shard::InlineRunnableLocked() const {
+  const BatchClass c = ClassOf(queue_.front().op);
+  if (c != BatchClass::kNormal && c != BatchClass::kTxnExecRun) {
+    return false;
+  }
+  // Only the executor parks, so a park set with room now still has room
+  // when this batch parks: ParkBatch cannot block the loop.
+  return opts_.wait_acks == 0 || follower() ||
+         parked_count_.load(std::memory_order_acquire) < opts_.wait_max_parked;
+}
+
+bool Shard::RunInline() {
+  std::unique_lock<std::mutex> el(exec_mu_, std::try_to_lock);
+  if (!el.owns_lock()) {
+    // The worker is mid-batch and re-checks the queue when it finishes;
+    // the notify covers it going back to sleep in between.
+    not_empty_.notify_one();
+    return false;
+  }
+  if (exec_closed_) {
+    return false;
+  }
+  size_t budget = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    budget = queue_.size();
+  }
+  // Bounded: requests queued after the pass began wait for the next round,
+  // so a flooded shard cannot keep its loop from polling its other
+  // connections.
+  while (budget > 0) {
+    const size_t ran = RunOneBatch(/*inline_pass=*/true, budget);
+    if (ran == 0) {
+      return false;  // drained, or handed to the worker
+    }
+    budget -= ran;
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  return !queue_.empty();
 }
 
 void Shard::Unsubscribe(uint64_t conn_id) {
@@ -907,7 +950,7 @@ bool Shard::ExecuteTxnRepair(const Request& req,
   return true;
 }
 
-// Worker thread, directly after the batch's Psync: every record justifying
+// Executor, directly after the batch's Psync: every record justifying
 // these applies is sealed. The staged writes run through the store's apply
 // path inside a fresh group-commit window (J-PFA failure-atomic blocks
 // inside, see txn::ApplyStagedWrites), then a Psync orders them before any
@@ -1201,7 +1244,7 @@ void Shard::ExecuteReplDiff(const Request& req, std::string* reply) {
   ExecuteReplSync(req, reply);
 }
 
-// Follower side of the handshake: the log is worker-thread-only, so the
+// Follower side of the handshake: the log is executor-only, so the
 // ReplClient fetches its own digests through a control batch.
 void Shard::ExecuteLogDigests(std::string* reply) {
   if (log_ == nullptr || log_->needs_snapshot()) {
@@ -1497,7 +1540,10 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
                          std::vector<std::string>& replies) {
   // Runs after the batch's durability point: replies may now leave the
   // machine. Multi-op parts are counted down here — post-Psync — so the
-  // joined +OK implies every part is durable on its own shard.
+  // joined +OK implies every part is durable on its own shard. The replies
+  // reach the sink in one call.
+  std::vector<Completion> out;
+  out.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     Request& req = batch[i];
     if (req.txn != nullptr) {
@@ -1530,7 +1576,7 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
                                      ? "OK"
                                      : req.multi->ok_reply);
         }
-        sink_->OnCompletion(std::move(c));
+        out.push_back(std::move(c));
       }
       continue;
     }
@@ -1541,8 +1587,9 @@ void Shard::DeliverBatch(std::vector<Request>& batch,
     c.conn_id = req.conn_id;
     c.seq = req.seq;
     c.reply = std::move(replies[i]);
-    sink_->OnCompletion(std::move(c));
+    out.push_back(std::move(c));
   }
+  sink_->OnCompletions(out);
 }
 
 // ---- WAIT-K parking ---------------------------------------------------------
@@ -1653,7 +1700,7 @@ void Shard::DeliverParked(ParkedBatch&& p, bool timed_out) {
 // (never in the worker queue — kApply batches must keep flowing, or the
 // watermark could never catch up). The apply batch that advances the
 // watermark releases every now-covered read in park order and executes it
-// on the worker thread, against exactly the sealed-prefix state it waited
+// in the batch executor, against exactly the sealed-prefix state it waited
 // for. A read the watermark never reaches is answered -STALE when its
 // deadline passes (event-loop tick) — an explicit refusal, never a silently
 // old value. The park bound overflowing answers -STALE immediately.
@@ -1700,14 +1747,16 @@ void Shard::CompleteStaleRead(Request& req, uint64_t watermark) {
   sink_->OnCompletion(std::move(c));
 }
 
-// Worker thread, directly after PublishReplStats: the store state IS the
+// Executor, directly after PublishReplStats: the store state IS the
 // sealed prefix the new watermark names, so released reads observe exactly
 // what their session token demanded. Reads are released in park order;
 // kApply batches flow through the request queue untouched by parked reads.
+// The scan always takes read_park_mu_, after the watermark store: either
+// GateSessionRead's check under that lock sees the new watermark, or this
+// scan sees its parked read. A lock-free "nothing parked" pre-check would
+// race with GateSessionRead (store-load reordering) and strand a covered
+// read, which TickReadStale never expires.
 void Shard::ReleaseSessionReads() {
-  if (parked_reads_count_.load(std::memory_order_acquire) == 0) {
-    return;
-  }
   std::vector<Request> ready;
   {
     std::lock_guard<std::mutex> lk(read_park_mu_);
@@ -1809,13 +1858,13 @@ void Shard::StreamToSubscribers(uint64_t first_seq, uint64_t last_seq) {
   stream_frames_.fetch_add(1, std::memory_order_relaxed);
   stream_frame_bytes_.fetch_add(buf->size(), std::memory_order_relaxed);
   const std::shared_ptr<const std::string> shared = std::move(buf);
-  for (const Subscriber& sub : subs_) {
-    Completion c;
-    c.conn_id = sub.conn_id;
-    c.stream = true;
-    c.frame = shared;
-    sink_->OnCompletion(std::move(c));
+  std::vector<Completion> out(subs_.size());
+  for (size_t i = 0; i < subs_.size(); ++i) {
+    out[i].conn_id = subs_[i].conn_id;
+    out[i].stream = true;
+    out[i].frame = shared;
   }
+  sink_->OnCompletions(out);
 }
 
 void Shard::PublishReplStats() {
@@ -1830,28 +1879,43 @@ void Shard::PublishReplStats() {
 }
 
 void Shard::WorkerLoop() {
-  std::vector<Request> batch;
-  std::vector<std::string> replies;
-  std::vector<uint8_t> wrote_flags;
-  std::vector<repl::ReplOp> rops;
-  const uint32_t max_batch = opts_.batch == 0 ? 1 : opts_.batch;
-  // Apply-side group size: how many kApply records (each one sealed primary
-  // batch) a follower folds into one local group commit. Defaults to the
-  // regular batch knob; --apply-batch decouples it from the primary's seal.
-  const uint32_t apply_cap =
-      opts_.apply_batch == 0 ? max_batch : opts_.apply_batch;
   for (;;) {
-    batch.clear();
-    replies.clear();
-    wrote_flags.clear();
-    rops.clear();
-    bool apply_run = false;
     {
       std::unique_lock<std::mutex> lk(mu_);
       not_empty_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) {
         return;  // stopping and drained
       }
+    }
+    std::lock_guard<std::mutex> el(exec_mu_);
+    RunOneBatch(/*inline_pass=*/false, SIZE_MAX);
+  }
+}
+
+size_t Shard::RunOneBatch(bool inline_pass, size_t limit) {
+  std::vector<Request>& batch = exec_batch_;
+  std::vector<std::string>& replies = exec_replies_;
+  std::vector<uint8_t>& wrote_flags = exec_wrote_;
+  std::vector<repl::ReplOp>& rops = exec_rops_;
+  batch.clear();
+  replies.clear();
+  wrote_flags.clear();
+  rops.clear();
+  const uint32_t max_batch = opts_.batch == 0 ? 1 : opts_.batch;
+  // Apply-side group size: how many kApply records (each one sealed primary
+  // batch) a follower folds into one local group commit. Defaults to the
+  // regular batch knob; --apply-batch decouples it from the primary's seal.
+  const uint32_t apply_cap =
+      opts_.apply_batch == 0 ? max_batch : opts_.apply_batch;
+  bool apply_run = false;
+  bool handoff = false;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (queue_.empty()) {
+      return 0;  // another executor drained it first
+    }
+    handoff = inline_pass && !InlineRunnableLocked();
+    if (!handoff) {
       // Batches are homogeneous in class (see BatchClass): control and txn
       // boundary ops run alone, a run of kApply records groups up to
       // apply_cap, a run of kTxnExec and anything else groups up to
@@ -1860,7 +1924,7 @@ void Shard::WorkerLoop() {
       const BatchClass bclass = ClassOf(queue_.front().op);
       apply_run = bclass == BatchClass::kApplyRun;
       const uint32_t cap = apply_run ? apply_cap : max_batch;
-      const size_t take = std::min<size_t>(cap, queue_.size());
+      const size_t take = std::min<size_t>({cap, queue_.size(), limit});
       for (size_t i = 0; i < take; ++i) {
         if (!batch.empty() && ClassOf(queue_.front().op) != bclass) {
           break;
@@ -1878,80 +1942,88 @@ void Shard::WorkerLoop() {
         }
       }
     }
-    not_full_.notify_all();
-
-    bool wrote = false;
-    const bool group = (apply_run ? apply_cap : max_batch) > 1;
-    const uint64_t log_first =
-        log_ != nullptr ? log_->next_seq() : 0;  // first record this batch
-    if (group) {
-      rt_->heap().BeginGroupCommit();
-    }
-    for (const Request& req : batch) {
-      std::string reply;
-      const bool w = Execute(req, &reply, &rops);
-      wrote |= w;
-      wrote_flags.push_back(w ? 1 : 0);
-      replies.push_back(std::move(reply));
-    }
-    if (!rops.empty() && !log_->needs_snapshot()) {
-      // One record per batch: the group's write ops in execution order.
-      std::string bf;
-      repl::EncodeBatch(rops, &bf);
-      log_->Append(log_->next_seq(), bf);
-    }
-    const uint64_t log_last = log_ != nullptr ? log_->next_seq() - 1 : 0;
-    const bool appended = log_ != nullptr && log_last + 1 > log_first;
-    if (group) {
-      rt_->heap().EndGroupCommit();
-      if (wrote) {
-        rt_->Psync();  // one durability point for the whole group
-      }
-      // Reclaim structures orphaned by this batch's replaces/deletes — only
-      // now that their unlinks are durable.
-      rt_->DrainGroupFrees();
-    } else if (appended) {
-      // batch == 1: ops kept their own trailing durability fences, but the
-      // log record still needs sealing before it can be shipped or acked.
-      rt_->Psync();
-    }
-    // batch == 1, no log: every op kept its own trailing durability fence;
-    // no group Psync needed (ablation baseline).
-    if (log_ != nullptr) {
-      // Staged txn writes whose justifying record this batch just sealed
-      // apply now — after the seal, before the watermark publishes, so a
-      // session read released below already sees them.
-      ApplyPostSealTxns();
-      PublishReplStats();
-      // Session reads waiting on this batch's watermark advance run here,
-      // against exactly the sealed-prefix state their token named.
-      ReleaseSessionReads();
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t prev = max_batch_.load(std::memory_order_relaxed);
-    while (batch.size() > prev &&
-           !max_batch_.compare_exchange_weak(prev, batch.size(),
-                                             std::memory_order_relaxed)) {
-    }
-    // Ship before delivering: under WAIT-K the acks that release the batch
-    // can only arrive once the subscribers have the frames.
-    if (appended) {
-      StreamToSubscribers(log_first, log_last);
-    }
-    if (appended && opts_.wait_acks > 0 && !follower()) {
-      // WAIT-K: withhold the replies until K subscribers ack log_last or
-      // the deadline passes. The worker moves straight on to the next
-      // batch — parking is pipelined, not stop-and-wait.
-      ParkBatch(log_last, batch, replies, wrote_flags);
-    } else {
-      DeliverBatch(batch, replies);
-    }
-    if (appended) {
-      // Follower role: tell the local ReplClient the apply batch is sealed
-      // so it can ack the primary (no-op when no hook is registered).
-      NotifySealHook(log_last);
-    }
   }
+  if (handoff) {
+    not_empty_.notify_one();
+    return 0;
+  }
+  not_full_.notify_all();
+  const size_t ran = batch.size();
+
+  bool wrote = false;
+  const bool group = (apply_run ? apply_cap : max_batch) > 1;
+  const uint64_t log_first =
+      log_ != nullptr ? log_->next_seq() : 0;  // first record this batch
+  if (group) {
+    rt_->heap().BeginGroupCommit();
+  }
+  for (const Request& req : batch) {
+    std::string reply;
+    const bool w = Execute(req, &reply, &rops);
+    wrote |= w;
+    wrote_flags.push_back(w ? 1 : 0);
+    replies.push_back(std::move(reply));
+  }
+  if (!rops.empty() && !log_->needs_snapshot()) {
+    // One record per batch: the group's write ops in execution order.
+    std::string bf;
+    repl::EncodeBatch(rops, &bf);
+    log_->Append(log_->next_seq(), bf);
+  }
+  const uint64_t log_last = log_ != nullptr ? log_->next_seq() - 1 : 0;
+  const bool appended = log_ != nullptr && log_last + 1 > log_first;
+  if (group) {
+    rt_->heap().EndGroupCommit();
+    if (wrote) {
+      rt_->Psync();  // one durability point for the whole group
+    }
+    // Reclaim structures orphaned by this batch's replaces/deletes — only
+    // now that their unlinks are durable.
+    rt_->DrainGroupFrees();
+  } else if (appended) {
+    // batch == 1: ops kept their own trailing durability fences, but the
+    // log record still needs sealing before it can be shipped or acked.
+    rt_->Psync();
+  }
+  // batch == 1, no log: every op kept its own trailing durability fence;
+  // no group Psync needed (ablation baseline).
+  if (log_ != nullptr) {
+    // Staged txn writes whose justifying record this batch just sealed
+    // apply now — after the seal, before the watermark publishes, so a
+    // session read released below already sees them.
+    ApplyPostSealTxns();
+    PublishReplStats();
+    // Session reads waiting on this batch's watermark advance run here,
+    // against exactly the sealed-prefix state their token named.
+    ReleaseSessionReads();
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  (inline_pass ? inline_batches_ : worker_batches_)
+      .fetch_add(1, std::memory_order_relaxed);
+  uint64_t prev = max_batch_.load(std::memory_order_relaxed);
+  while (ran > prev &&
+         !max_batch_.compare_exchange_weak(prev, ran,
+                                           std::memory_order_relaxed)) {
+  }
+  // Ship before delivering: under WAIT-K the acks that release the batch
+  // can only arrive once the subscribers have the frames.
+  if (appended) {
+    StreamToSubscribers(log_first, log_last);
+  }
+  if (appended && opts_.wait_acks > 0 && !follower()) {
+    // WAIT-K: withhold the replies until K subscribers ack log_last or
+    // the deadline passes. The executor moves straight on to the next
+    // batch — parking is pipelined, not stop-and-wait.
+    ParkBatch(log_last, batch, replies, wrote_flags);
+  } else {
+    DeliverBatch(batch, replies);
+  }
+  if (appended) {
+    // Follower role: tell the local ReplClient the apply batch is sealed
+    // so it can ack the primary (no-op when no hook is registered).
+    NotifySealHook(log_last);
+  }
+  return ran;
 }
 
 ShardStats Shard::Stats() const {
@@ -1961,6 +2033,8 @@ ShardStats Shard::Stats() const {
     s.queue_depth = queue_.size();
   }
   s.batches = batches_.load(std::memory_order_relaxed);
+  s.inline_batches = inline_batches_.load(std::memory_order_relaxed);
+  s.worker_batches = worker_batches_.load(std::memory_order_relaxed);
   s.max_batch = max_batch_.load(std::memory_order_relaxed);
   s.elided_fences = rt_->heap().elided_fences();
   s.records = backend_->Size();
@@ -2027,6 +2101,12 @@ ShardReport Shard::Quiesce() {
   park_cv_.notify_all();
   if (worker_.joinable()) {
     worker_.join();
+  }
+  {
+    // A home loop's inline batch still in flight finishes first; every
+    // later inline pass is a no-op.
+    std::lock_guard<std::mutex> el(exec_mu_);
+    exec_closed_ = true;
   }
   // Acks can no longer arrive (the event loop is in shutdown): deliver any
   // still-parked batch now — acked ones succeed, the rest degrade to an

@@ -1,17 +1,37 @@
 // Shards — the persistence half of the network server (DESIGN.md §7, §8).
 //
 // Each shard owns a full vertical slice: one simulated NVMM device, one
-// JnvmRuntime, one J-NVM backend and the KvStore on top, plus a single
-// worker thread draining a bounded MPSC request queue. The queue really is
-// multi-producer: with `--loops=N` every event-loop thread (plus the
-// ReplClient and the migrator) submits into the same shard concurrently —
-// Submit/TrySubmit are safe from any thread, and a completion finds its
-// way back to the loop that owns the requesting connection via the conn_id
-// it carries (the loop index rides in the id's top bits). Keys are routed
-// to shards by FNV-1a hash (ShardFor), so a key's whole history lives on
-// one device — restart recovery is per-shard and embarrassingly parallel.
+// JnvmRuntime, one J-NVM backend and the KvStore on top, plus a bounded MPSC
+// request queue. The queue really is multi-producer: with `--loops=N` every
+// event-loop thread (plus the ReplClient, the migrator and the checkpoint
+// runner) submits into the same shard concurrently — Submit/TrySubmit are
+// safe from any thread, and a completion finds its way back to the loop that
+// owns the requesting connection via the conn_id it carries (the loop index
+// rides in the id's top bits). Keys are routed to shards by FNV-1a hash
+// (ShardFor), so a key's whole history lives on one device — restart
+// recovery is per-shard and embarrassingly parallel.
 //
-// The worker executes requests in batches of up to `batch` and holds the
+// Executors (DESIGN.md §7). One batch protocol, RunOneBatch, drains the
+// queue; whoever holds the executor lock runs it — a combiner's critical
+// section in the sense of Persistent Software Combining — so queue order is
+// execution order whichever thread runs a batch. Two kinds of thread do:
+//  * the shard's *home loop* (the event loop with the shard's index, when
+//    shards <= loops) enqueues its own requests without waking anyone
+//    (TrySubmit wake=false) and runs them itself at the end of its poll
+//    round: RunInline, one bounded pass over at most the requests queued
+//    when the pass began, in `batch`-sized group commits. Everything the
+//    loop parsed this round becomes one group commit, with no thread
+//    hand-off on the way in or out;
+//  * the shard's worker thread runs everything else: blocking Submit
+//    callers (ReplClient applies, migrator, checkpoint runner), requests
+//    from non-home loops, control / replication / txn-boundary batches at
+//    the queue front (the inline pass never runs those — it hands them to
+//    the worker), and WAIT-K write batches once `wait_max_parked` batches
+//    are parked, because parking then blocks and a loop never blocks.
+// A pass whose try-lock loses to the worker notifies it instead, so queued
+// work always has an executor that knows about it.
+//
+// A batch executes requests in groups of up to `batch` and holds the
 // heap in group-commit mode for the batch: per-operation trailing
 // durability fences are elided (heap::Heap::DurabilityFence) and one Psync
 // at the end of the batch makes the whole group durable — the paper's
@@ -21,12 +41,12 @@
 // publication protocols are untouched, so a crash mid-batch loses only
 // unacknowledged operations, never produces torn ones.
 //
-// Replication (§8): the batch is also the replication unit. The worker
+// Replication (§8): the batch is also the replication unit. The executor
 // appends each batch's write ops to a durable per-shard replication log
 // (repl::ReplLog) inside the same group commit — the batch Psync seals the
 // log record, the store mutations and the client replies together — and
 // then streams the sealed record to subscribed replicas. A *follower*
-// shard runs the same worker but applies shipped batches (Op::kApply) in
+// shard runs the same protocol but applies shipped batches (Op::kApply) in
 // sequence order, mirrors the primary's log, serves reads, and rejects
 // client writes with -READONLY until Op::kPromote flips it writable after
 // an I1–I7 audit.
@@ -119,8 +139,9 @@ struct ShardOptions {
   // REPLSYNC subscribers acknowledge the sealed seq (REPLACK frames), or
   // until `wait_timeout_ms` elapses — then write replies degrade to an
   // explicit -WAITTIMEOUT (the write IS locally durable; it just lacks the
-  // replica guarantee). The worker keeps sealing later batches while earlier
-  // ones wait (pipelined), bounded by `wait_max_parked` parked batches.
+  // replica guarantee). The executor keeps sealing later batches while
+  // earlier ones wait (pipelined), bounded by `wait_max_parked` parked
+  // batches.
   // Requires repl_log. Kept in ShardOptions so a promoted replica that was
   // started with --wait-acks honours it once it has subscribers of its own.
   uint32_t wait_acks = 0;
@@ -193,7 +214,7 @@ struct Request {
                    // follower's resume seq, value = its digest frame; every
                    // digest verified → behaves exactly like kReplSync
     kLogDigests,   // follower side: waiter payload "+<digest frame>" of the
-                   // local log (the log is worker-thread-only, so the
+                   // local log (the log is executor-only, so the
                    // ReplClient fetches its own digests through the queue)
   };
   Op op = Op::kGet;
@@ -311,8 +332,17 @@ struct Completion {
 class CompletionSink {
  public:
   virtual ~CompletionSink() = default;
-  // Called from shard worker threads; must be thread-safe.
+  // Called from any batch executor (worker or home loop); must be
+  // thread-safe.
   virtual void OnCompletion(Completion&& c) = 0;
+  // A sealed batch's completions in one call (consumed; `cs` is left
+  // empty), so a sink can take each destination's lock once per batch.
+  virtual void OnCompletions(std::vector<Completion>& cs) {
+    for (Completion& c : cs) {
+      OnCompletion(std::move(c));
+    }
+    cs.clear();
+  }
 };
 
 // Final state handed back by Quiesce().
@@ -399,6 +429,10 @@ struct CkptStats {
 struct ShardStats {
   uint64_t queue_depth = 0;
   uint64_t batches = 0;
+  // Split of `batches` by executor: run inline by the home loop vs by the
+  // worker thread (DESIGN.md §7).
+  uint64_t inline_batches = 0;
+  uint64_t worker_batches = 0;
   uint64_t max_batch = 0;
   uint64_t elided_fences = 0;
   uint64_t records = 0;
@@ -451,8 +485,19 @@ class Shard {
 
   // Non-blocking push. kFull leaves `req` untouched so the caller can stall
   // it and retry; kStopped means the shard is draining (terminal).
+  // wake=false is for the shard's home loop only: the worker is not
+  // notified, and the caller must call RunInline before it next sleeps.
   enum class SubmitResult : uint8_t { kOk, kFull, kStopped };
-  SubmitResult TrySubmit(Request&& req);
+  SubmitResult TrySubmit(Request&& req, bool wake = true);
+
+  // One bounded inline pass (home loop, end of its poll round): runs at most
+  // the requests queued when the pass began, in `batch`-sized group
+  // commits, on the calling thread. Never blocks: a lost try-lock, a
+  // control / apply / txn-boundary batch at the queue front, or a full
+  // WAIT-K park set hands the queue to the worker instead. True when work
+  // is still queued (the caller re-polls with a zero timeout and runs
+  // another pass, which hands the queue over if it cannot run it).
+  bool RunInline();
 
   // Drops a replication-stream subscription (connection closed).
   void Unsubscribe(uint64_t conn_id);
@@ -471,7 +516,7 @@ class Shard {
   // already covers the token — the caller submits the request normally (req
   // untouched). kParked: the shard took ownership; the completion is emitted
   // later, when an apply batch advances the watermark (executed on the
-  // worker thread, in park order) or the deadline passes (-STALE). kStale:
+  // batch executor, in park order) or the deadline passes (-STALE). kStale:
   // the parked set is full (or the shard is quiescing) — the -STALE
   // completion was already emitted. Event-loop thread; the watermark recheck
   // under the park lock closes the race with a concurrent release, so a
@@ -483,7 +528,7 @@ class Shard {
   // cheap when nothing is parked. Never touches the store.
   void TickReadStale(uint64_t now_ms);
 
-  // Registers a hook invoked on the worker thread after each batch Psync
+  // Registers a hook invoked by the batch executor after each batch Psync
   // with the new sealed seq — the follower's ReplClient acks from here.
   // Pass nullptr to unregister (must happen before the owner dies).
   void SetSealHook(std::function<void(uint64_t)> hook);
@@ -521,6 +566,15 @@ class Shard {
   Shard() = default;
 
   void WorkerLoop();
+  // The batch protocol: dequeue one homogeneous batch (at most `limit`
+  // requests), execute, encode its log record, Psync, run the post-seal
+  // steps, stream and deliver (or park). Caller holds exec_mu_. An inline
+  // pass takes nothing when the front is not inline-runnable and notifies
+  // the worker instead. Returns the number of requests executed.
+  size_t RunOneBatch(bool inline_pass, size_t limit);
+  // Caller holds mu_: the queue front may run on a loop thread — a plain or
+  // kTxnExec run, and (WAIT-K) parking it could not block.
+  bool InlineRunnableLocked() const;
   // Executes one request against the KvStore; appends the RESP reply and
   // collects the batch's replicated ops. Returns true when the op wrote
   // persistent state.
@@ -551,7 +605,7 @@ class Shard {
   void RedoLogTail(uint64_t replay_from, txn::LogScanResult* scan);
   void PublishReplStats();
 
-  // ---- Transaction plane (worker thread) ----------------------------------
+  // ---- Transaction plane (batch executor) ---------------------------------
   // Execute-time handlers; store mutations never happen here — txn writes
   // stage in staged_txns_ and apply post-seal (ApplyPostSealTxns), so a
   // crash before the record seals leaves the store untouched.
@@ -582,8 +636,9 @@ class Shard {
     std::vector<std::string> replies;
     std::vector<uint8_t> wrote;  // per-request: did it write durable state?
   };
-  // Parks the batch (worker thread; blocks on wait_max_parked — safe: parked
-  // batches are released by the event loop, which never waits on the worker).
+  // Parks the batch (executor; blocks on wait_max_parked — safe: parked
+  // batches are released by the event loop, which never waits on the
+  // worker; an inline pass only parks while the park set has room).
   void ParkBatch(uint64_t last_seq, std::vector<Request>& batch,
                  std::vector<std::string>& replies,
                  std::vector<uint8_t>& wrote);
@@ -592,13 +647,13 @@ class Shard {
   void ReleaseParked(uint64_t now_ms, bool force);
   void DeliverParked(ParkedBatch&& p, bool timed_out);
 
-  // ---- Session-read parking (event-loop parks, worker releases) -----------
+  // ---- Session-read parking (event-loop parks, executor releases) ---------
   struct ParkedRead {
     uint64_t deadline_ms = 0;  // now + read_stale_timeout_ms at parking time
     Request req;
   };
   // Executes every parked read whose min-seq the watermark now covers, in
-  // park order, against the exact sealed-prefix state. Worker thread, after
+  // park order, against the exact sealed-prefix state. Executor, after
   // PublishReplStats — kApply batches flow through the queue untouched, so
   // parked reads can never reorder or delay the apply stream.
   void ReleaseSessionReads();
@@ -610,7 +665,7 @@ class Shard {
   void NotifySealHook(uint64_t sealed_seq);
 
   // ---- Per-slot accounting (cluster plane) ---------------------------------
-  // slot_keys_[s] = live keys in slot s. The worker adjusts it wherever the
+  // slot_keys_[s] = live keys in slot s. The executor adjusts it wherever the
   // store changes shape; Stats/KeysInSlotRange read it under slot_mu_.
   void SlotDelta(std::string_view key, int d);
   void RebuildSlotCounts();
@@ -624,8 +679,8 @@ class Shard {
   std::unique_ptr<core::JnvmRuntime> rt_;
   std::unique_ptr<store::Backend> backend_;
   std::unique_ptr<store::KvStore> kv_;
-  std::unique_ptr<repl::ReplLog> log_;  // worker-thread only after Open()
-  core::Handle<ckpt::CkptMeta> ckpt_meta_;  // worker-thread only after Open()
+  std::unique_ptr<repl::ReplLog> log_;  // executor-only after Open()
+  core::Handle<ckpt::CkptMeta> ckpt_meta_;  // executor-only after Open()
 
   std::atomic<bool> follower_{false};
   std::atomic<uint64_t> sealed_seq_{0};   // last sealed record (0 = none)
@@ -661,13 +716,13 @@ class Shard {
   std::atomic<uint64_t> mig_applied_ops_{0};
 
   // ---- Transaction state (DESIGN.md §9) -----------------------------------
-  // Prepared-but-undecided txns (worker mutates; event loop reads for
+  // Prepared-but-undecided txns (executor mutates; event loop reads for
   // PROMOTE resolution) and the sealed decisions this shard coordinated
   // (pruned against the log's retention).
   txn::StagedTable staged_txns_;
   txn::DecisionIndex txn_decisions_;
-  // Txns whose staged writes apply after the current batch's Psync; worker
-  // thread only, drained by ApplyPostSealTxns.
+  // Txns whose staged writes apply after the current batch's Psync;
+  // executor only, drained by ApplyPostSealTxns.
   std::vector<txn::TxnId> post_seal_txns_;
   std::atomic<uint64_t> txns_prepared_{0};
   std::atomic<uint64_t> txns_committed_{0};
@@ -713,8 +768,22 @@ class Shard {
   std::deque<Request> queue_;
   bool stopping_ = false;
 
+  // The executor lock: held for the whole of RunOneBatch, by the worker
+  // (blocking) or by the home loop's inline pass (try-lock). Lock order:
+  // exec_mu_ before mu_. Quiesce takes it after joining the worker and sets
+  // exec_closed_, so a later inline pass is a no-op. The batch scratch
+  // vectors below are guarded by it too.
+  std::mutex exec_mu_;
+  bool exec_closed_ = false;
+  std::vector<Request> exec_batch_;
+  std::vector<std::string> exec_replies_;
+  std::vector<uint8_t> exec_wrote_;
+  std::vector<repl::ReplOp> exec_rops_;
+
   std::thread worker_;
   std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> inline_batches_{0};
+  std::atomic<uint64_t> worker_batches_{0};
   std::atomic<uint64_t> max_batch_{0};
 
   std::mutex quiesce_mu_;

@@ -161,6 +161,7 @@ TEST(PExtArrayTest, SurvivesRestart) {
   f.CleanReopen();
   const auto arr = f.rt->root().GetAs<PExtArray>("arr");
   ASSERT_NE(arr, nullptr);
+  EXPECT_EQ(arr->addr(), arr_addr);  // recovery resurrects the same object
   EXPECT_EQ(arr->Size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(std::static_pointer_cast<PString>(arr->Get(i))->Str(),

@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 #include "src/common/clock.h"
+#include "src/repl/frame.h"
 #include "src/server/client.h"
 #include "src/server/poller.h"
 #include "src/server/server.h"
@@ -38,6 +39,11 @@ namespace {
 
 struct IoParam {
   uint32_t loops;
+  // Spelled out and zeroed: gtest lists each case with a byte dump of its
+  // param, and implicit padding here held leftover bytes of a randomized
+  // address, so the head of each listed test name changed from run to run.
+  // (The string's buffer pointer, later in the dump, still does.)
+  uint32_t pad;
   std::string poller;
 };
 
@@ -49,7 +55,7 @@ std::vector<IoParam> IoParams() {
   std::vector<IoParam> out;
   for (uint32_t loops : {1u, 2u, 4u}) {
     for (const std::string& p : pollers) {
-      out.push_back({loops, p});
+      out.push_back({loops, 0, p});
     }
   }
   return out;
@@ -863,19 +869,32 @@ TEST(MultiLoop, ShutdownUnderCrossLoopLoad) {
 
 // ---- Backpressure and per-connection resource caps --------------------------
 
+// First key at or after `salt` that routes to `shard`.
+std::string ShardKey(uint32_t shard, uint32_t nshards, int salt = 0) {
+  for (int i = salt;; ++i) {
+    const std::string k = "bk:" + std::to_string(i);
+    if (ShardFor(k, nshards) == shard) {
+      return k;
+    }
+  }
+}
+
+// Sum of every `field` occurrence in a STATS dump (one per shard line).
+uint64_t SumStats(const std::string& stats, const char* field) {
+  uint64_t sum = 0;
+  const size_t n = std::strlen(field);
+  for (size_t pos = stats.find(field); pos != std::string::npos;
+       pos = stats.find(field, pos + n)) {
+    sum += std::strtoull(stats.c_str() + pos + n, nullptr, 10);
+  }
+  return sum;
+}
+
 class HardeningE2E : public ::testing::TestWithParam<IoParam> {
  protected:
   void ApplyIo(ServerOptions* o) {
     o->loops = GetParam().loops;
     o->poller = GetParam().poller;
-  }
-  static std::string ShardKey(uint32_t shard, uint32_t nshards, int salt = 0) {
-    for (int i = salt;; ++i) {
-      const std::string k = "bk:" + std::to_string(i);
-      if (ShardFor(k, nshards) == shard) {
-        return k;
-      }
-    }
   }
   static uint64_t StatsField(Client& c, const char* field) {
     const std::string stats = c.Stats().value_or("");
@@ -1098,6 +1117,371 @@ TEST_P(HardeningE2E, PartialWritevResumesMidChunk) {
 
 INSTANTIATE_TEST_SUITE_P(IoPlane, HardeningE2E,
                          ::testing::ValuesIn(IoParams()), IoParamName);
+
+// ---- Run-to-completion on the home loop (DESIGN.md §7) ----------------------
+// When shards <= loops, loop i runs shard i's batches inline. These pin the
+// counters that show it, and the hazards an inline executor must avoid: a
+// flooded home shard starving its loop-mates, a full WAIT-K park set
+// blocking the loop, and control batches that must still reach the worker.
+
+std::vector<std::string> HomeLoopPollers() {
+  std::vector<std::string> pollers = {"epoll"};
+  if (IoUringSupported()) {
+    pollers.push_back("uring");
+  }
+  return pollers;
+}
+
+class HomeLoopE2E : public ::testing::TestWithParam<std::string> {
+ protected:
+  ServerOptions Opts(uint32_t loops, uint32_t nshards, uint32_t batch) {
+    ServerOptions o;
+    o.loops = loops;
+    o.nshards = nshards;
+    o.poller = GetParam();
+    o.reuseport = false;  // hand-off: the Nth connect lands on loop N % loops
+    o.shard = SmallShard(batch);
+    return o;
+  }
+  static std::string Stats(Client& c) { return c.Stats().value_or(""); }
+  // Pipelines `rounds` rounds of 64 alternating SET/GET; every reply is a
+  // success.
+  static void PipelinedLoad(Client& c, int rounds) {
+    std::vector<RespReply> replies;
+    for (int round = 0; round < rounds; ++round) {
+      for (int i = 0; i < 64; ++i) {
+        const std::string k = "rtc:" + std::to_string(i);
+        if (i % 2 == 0) {
+          c.PipeSet(k, "v" + std::to_string(round));
+        } else {
+          c.PipeGet(k);
+        }
+      }
+      ASSERT_TRUE(c.Sync(&replies)) << c.last_error();
+      for (const RespReply& r : replies) {
+        ASSERT_NE(r.type, RespReply::Type::kError) << r.str;
+      }
+    }
+  }
+};
+
+TEST_P(HomeLoopE2E, InlineBatchesAndCoalescedWakes) {
+  std::string err;
+  {
+    // One loop, one shard: the loop is the shard's home, so the load runs
+    // as inline group commits whose replies need no wake-up at all.
+    auto server = Server::Start(Opts(1, 1, 16), &err);
+    ASSERT_NE(server, nullptr) << err;
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    PipelinedLoad(*c, 20);
+    const std::string stats = Stats(*c);
+    const uint64_t commands = SumStats(stats, "commands=");
+    EXPECT_GE(commands, 20u * 64u) << stats;
+    EXPECT_GT(SumStats(stats, "inline_batches="), 0u) << stats;
+    EXPECT_LT(SumStats(stats, "wake_writes=") * 10, commands) << stats;
+    EXPECT_TRUE(c->Shutdown());
+    server->Wait();
+    EXPECT_TRUE(server->shutdown_report().ok);
+  }
+  {
+    // More shards than loops: no loop is a home, every batch is a worker's.
+    auto server = Server::Start(Opts(1, 2, 16), &err);
+    ASSERT_NE(server, nullptr) << err;
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    PipelinedLoad(*c, 20);
+    const std::string stats = Stats(*c);
+    EXPECT_EQ(SumStats(stats, "inline_batches="), 0u) << stats;
+    EXPECT_GT(SumStats(stats, "worker_batches="), 0u) << stats;
+    EXPECT_GT(SumStats(stats, "wake_writes="), 0u) << stats;
+    EXPECT_TRUE(c->Shutdown());
+    server->Wait();
+    EXPECT_TRUE(server->shutdown_report().ok);
+  }
+}
+
+TEST_P(HomeLoopE2E, FloodedHomeShardDoesNotBlockLoopMates) {
+  // FloodedShardDoesNotBlockOtherShards with shards == loops, and the flood
+  // and the other connection on the same loop — the loop that is the
+  // flooded shard's home and runs its batches inline. The inline pass is
+  // bounded by what was queued when it began, so the loop keeps polling
+  // and the other connection's GET is not held behind the flood.
+  ServerOptions opts = Opts(2, 2, /*batch=*/1);
+  opts.shard.queue_capacity = 4;
+  opts.shard.fence_ns = 2'000'000;  // 2ms per fence: shard 0 drains slowly
+  std::string err;
+  auto server = Server::Start(opts, &err);
+  ASSERT_NE(server, nullptr) << err;
+
+  auto flood = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(flood, nullptr) << err;  // conn #1 → loop 0 (shard 0's home)
+  auto filler = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(filler, nullptr) << err;  // conn #2 → loop 1
+  auto other = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(other, nullptr) << err;  // conn #3 → loop 0, beside the flood
+  const std::string hot = ShardKey(0, 2);
+  const std::string cold = ShardKey(1, 2);
+  ASSERT_TRUE(other->Set(cold, "cold-value"));
+
+  const int kFlood = 400;
+  for (int i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(flood->SendCommand({"SET", hot, "v" + std::to_string(i)}));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // queue full
+
+  const uint64_t t0 = NowNs();
+  EXPECT_EQ(other->Get(cold).value_or("<missing>"), "cold-value");
+  const double get_secs = static_cast<double>(NowNs() - t0) / 1e9;
+  EXPECT_LT(get_secs, 0.5) << "loop-mate GET stuck behind the inline flood";
+
+  for (int i = 0; i < kFlood; ++i) {
+    RespReply r;
+    ASSERT_TRUE(flood->ReadOneReply(&r)) << i << ": " << flood->last_error();
+    EXPECT_EQ(r.type, RespReply::Type::kSimple) << i << ": " << r.str;
+  }
+  const std::string stats = Stats(*filler);
+  EXPECT_GT(SumStats(stats, "inline_batches="), 0u) << stats;
+
+  EXPECT_TRUE(other->Shutdown());
+  server->Wait();
+  EXPECT_TRUE(server->shutdown_report().ok);
+}
+
+TEST_P(HomeLoopE2E, WaitKFullParkSetNeverBlocksTheLoop) {
+  // WAIT-K with room for one parked batch: the loop's inline pass seals and
+  // parks the first batch, then must hand the next one to the worker (whose
+  // ParkBatch blocks until a release) rather than block itself — the acks
+  // and the timeout ticks that release parked batches run on this loop.
+  ServerOptions opts = Opts(1, 1, /*batch=*/4);
+  opts.shard.wait_acks = 1;
+  opts.shard.wait_max_parked = 1;
+  opts.shard.wait_timeout_ms = 300;
+  std::string err;
+  auto server = Server::Start(opts, &err);
+  ASSERT_NE(server, nullptr) << err;
+
+  // A slow replica: acks the first two records 20ms late, then goes silent.
+  auto sub = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(sub, nullptr) << err;
+  ASSERT_TRUE(sub->SendCommand({"REPLSYNC", "0", "1"}));
+  RespReply handshake;
+  ASSERT_TRUE(sub->ReadOneReply(&handshake));
+  ASSERT_EQ(handshake.type, RespReply::Type::kSimple) << handshake.str;
+  auto c = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(c, nullptr) << err;
+  while (SumStats(Stats(*c), "subs=") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::thread acker([&sub] {
+    RespReply frame;
+    for (int acked = 0; acked < 2 && sub->ReadOneReply(&frame); ++acked) {
+      uint64_t seq = 0;
+      std::string_view batch;
+      if (!repl::DecodeRecord(frame.str, &seq, &batch)) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (!sub->SendCommand({"REPLACK", "0", std::to_string(seq)})) {
+        return;
+      }
+    }
+  });
+
+  const int kN = 32;  // 8 batches of 4
+  for (int i = 0; i < kN; ++i) {
+    c->PipeSet("wk:" + std::to_string(i), "v" + std::to_string(i));
+  }
+  const uint64_t t0 = NowNs();
+  std::vector<RespReply> replies;
+  ASSERT_TRUE(c->Sync(&replies)) << c->last_error();
+  const double secs = static_cast<double>(NowNs() - t0) / 1e9;
+  acker.join();
+  EXPECT_LT(secs, 10.0) << "parked batches never released";
+
+  // The contract: +OK only for an acked batch, otherwise -WAITTIMEOUT.
+  int timeouts = 0;
+  for (int i = 0; i < kN; ++i) {
+    const RespReply& r = replies[i];
+    if (r.type == RespReply::Type::kError) {
+      EXPECT_EQ(r.str.rfind("WAITTIMEOUT", 0), 0u) << i << ": " << r.str;
+      ++timeouts;
+    } else {
+      EXPECT_EQ(r.type, RespReply::Type::kSimple) << i << ": " << r.str;
+    }
+  }
+  for (int i = 0; i < 4; ++i) {  // the first batch was acked in time
+    EXPECT_EQ(replies[i].type, RespReply::Type::kSimple) << replies[i].str;
+  }
+  EXPECT_GT(timeouts, 0);  // the replica fell silent before the last batch
+  // Degraded or not, every write is locally durable.
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(c->Get("wk:" + std::to_string(i)).value_or("<missing>"),
+              "v" + std::to_string(i));
+  }
+  const std::string stats = Stats(*c);
+  EXPECT_GT(SumStats(stats, "inline_batches="), 0u) << stats;
+  EXPECT_GT(SumStats(stats, "worker_batches="), 0u) << stats;
+  EXPECT_GT(SumStats(stats, "wait_timeouts="), 0u) << stats;
+
+  sub->ShutdownSocket();
+  EXPECT_TRUE(c->Shutdown());
+  server->Wait();
+  EXPECT_TRUE(server->shutdown_report().ok);
+}
+
+TEST_P(HomeLoopE2E, ControlBatchesRunOnTheWorkerBesideInlineWrites) {
+  // REPLSNAP (a control op the loop queues) and CKPT (batches the
+  // checkpoint runner submits with a blocking Submit) while the home loop
+  // pipelines writes: both complete, and both ran on the worker.
+  std::string err;
+  auto server = Server::Start(Opts(1, 1, 16), &err);
+  ASSERT_NE(server, nullptr) << err;
+  auto w = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(w, nullptr) << err;
+  auto admin = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(admin, nullptr) << err;
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> rounds{0};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    std::vector<RespReply> replies;
+    for (int round = 0; !stop.load(); ++round) {
+      for (int i = 0; i < 32; ++i) {
+        w->PipeSet("cw:" + std::to_string(i), "r" + std::to_string(round));
+      }
+      if (!w->Sync(&replies)) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (const RespReply& r : replies) {
+        if (r.type != RespReply::Type::kSimple) {
+          failures.fetch_add(1);
+        }
+      }
+      rounds.fetch_add(1);
+    }
+  });
+  while (rounds.load() < 5 && failures.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t before = SumStats(Stats(*admin), "worker_batches=");
+
+  RespReply r;
+  ASSERT_TRUE(admin->Roundtrip({"REPLSNAP", "0"}, &r));
+  ASSERT_EQ(r.type, RespReply::Type::kBulk) << r.str;
+  uint64_t snap_seq = 0;
+  std::vector<repl::SnapshotEntry> entries;
+  EXPECT_TRUE(repl::DecodeSnapshot(r.str, &snap_seq, &entries));
+  ASSERT_TRUE(admin->Roundtrip({"CKPT"}, &r));
+  ASSERT_EQ(r.type, RespReply::Type::kSimple) << r.str;
+  EXPECT_EQ(r.str.rfind("OK", 0), 0u) << r.str;
+
+  const std::string stats = Stats(*admin);
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  // REPLSNAP is one singleton batch, a checkpoint at least a walk and a
+  // finalize: three worker batches at the least.
+  EXPECT_GE(SumStats(stats, "worker_batches="), before + 3) << stats;
+  EXPECT_GT(SumStats(stats, "inline_batches="), 0u) << stats;
+
+  EXPECT_TRUE(admin->Shutdown());
+  server->Wait();
+  EXPECT_TRUE(server->shutdown_report().ok);
+}
+
+TEST_P(HomeLoopE2E, TxnPhasesRunInlineAndOnTheWorker) {
+  // MULTI/EXEC on a loop that is shard 0's home: a single-shard txn's
+  // kTxnExec and a cross-shard txn's shard-0 prepare run inline; the
+  // decision and commit markers (singleton batches) and shard 1's parts
+  // run on workers. Every phase join comes back to the owning loop.
+  std::string err;
+  auto server = Server::Start(Opts(2, 2, 16), &err);
+  ASSERT_NE(server, nullptr) << err;
+  auto c = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(c, nullptr) << err;  // conn #1 → loop 0, shard 0's home
+  const std::string a = ShardKey(0, 2, 0);
+  const std::string b = ShardKey(0, 2, 100);
+  const std::string x = ShardKey(1, 2, 200);
+  const auto queue = [&c](const std::vector<std::string>& args) {
+    RespReply r;
+    ASSERT_TRUE(c->Roundtrip(args, &r)) << c->last_error();
+    ASSERT_EQ(r.str, "QUEUED");
+  };
+  std::vector<RespReply> replies;
+
+  ASSERT_TRUE(c->Multi());
+  queue({"SET", a, "a1"});
+  queue({"SET", b, "b1"});
+  ASSERT_TRUE(c->Exec(&replies)) << c->last_error();
+  ASSERT_EQ(replies.size(), 2u);
+
+  ASSERT_TRUE(c->Multi());
+  queue({"SET", a, "a2"});
+  queue({"SET", x, "x2"});
+  queue({"GET", b});
+  ASSERT_TRUE(c->Exec(&replies)) << c->last_error();
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[2].str, "b1");
+
+  EXPECT_EQ(c->Get(a).value_or("<missing>"), "a2");
+  EXPECT_EQ(c->Get(b).value_or("<missing>"), "b1");
+  EXPECT_EQ(c->Get(x).value_or("<missing>"), "x2");
+  const std::string stats = Stats(*c);
+  EXPECT_GT(SumStats(stats, "inline_batches="), 0u) << stats;
+  EXPECT_EQ(SumStats(stats, "decision_records="), 1u) << stats;
+  EXPECT_EQ(SumStats(stats, "aborted="), 0u) << stats;
+
+  EXPECT_TRUE(c->Shutdown());
+  server->Wait();
+  EXPECT_TRUE(server->shutdown_report().ok)
+      << server->shutdown_report().Summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(RunToCompletion, HomeLoopE2E,
+                         ::testing::ValuesIn(HomeLoopPollers()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+// ---- Client-side latency stamps ---------------------------------------------
+
+TEST(ClientPipeline, PipelinedGetAndSetGetTheirOwnLatency) {
+  // jnvm_loadgen charges each pipelined op from the round's send to the
+  // parse of its own reply. Pipeline a GET on an idle shard ahead of a SET
+  // on a shard with 20ms fences: the GET's reply is parsed long before the
+  // SET's, so the two ops get distinct latencies — an amortized
+  // (round trip) / n would give both the same figure.
+  ServerOptions opts;
+  opts.nshards = 2;
+  opts.shard = SmallShard(/*batch=*/1);
+  opts.shard.fence_ns = 20'000'000;
+  std::string err;
+  auto server = Server::Start(opts, &err);
+  ASSERT_NE(server, nullptr) << err;
+  auto c = Client::Connect("127.0.0.1", server->port(), &err);
+  ASSERT_NE(c, nullptr) << err;
+
+  c->PipeGet(ShardKey(1, 2));
+  c->PipeSet(ShardKey(0, 2), "slow");
+  const uint64_t t0 = NowNs();
+  std::vector<RespReply> replies;
+  std::vector<uint64_t> reply_ns;
+  ASSERT_TRUE(c->Sync(&replies, &reply_ns)) << c->last_error();
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_EQ(reply_ns.size(), 2u);
+  EXPECT_EQ(replies[0].type, RespReply::Type::kNil);
+  EXPECT_EQ(replies[1].type, RespReply::Type::kSimple) << replies[1].str;
+  const uint64_t get_ns = reply_ns[0] - t0;
+  const uint64_t set_ns = reply_ns[1] - t0;
+  EXPECT_GE(set_ns, 20'000'000u);                 // at least one 20ms fence
+  EXPECT_GE(set_ns - get_ns, 10'000'000u) << get_ns << " vs " << set_ns;
+
+  EXPECT_TRUE(c->Shutdown());
+  server->Wait();
+}
 
 // ---- Loadgen smoke ----------------------------------------------------------
 // Shells out to the real jnvm_loadgen binary (path injected by CMake)

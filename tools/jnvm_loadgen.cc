@@ -49,7 +49,10 @@
 // space with pipelined SETs, then runs a closed loop of GET (read-ratio)
 // and SET — or HSET with --field-updates — over uniformly random keys,
 // recording per-operation latency into log-bucketed histograms
-// (src/common/histogram). --seconds bounds wall-clock time (CI smoke);
+// (src/common/histogram). Under --pipeline > 1 each op is charged from the
+// round's send to the parse of its own reply (Client::Sync stamps every
+// reply), so reads and writes in one pipeline keep distinct latencies.
+// --seconds bounds wall-clock time (CI smoke);
 // --ops bounds per-thread operation count; whichever trips first wins.
 //
 // --seed fixes the RNG base (thread t uses seed+t) so a run is
@@ -223,6 +226,7 @@ bool ReplicaRound(const Config& cfg, jnvm::Xorshift& rng, uint32_t n,
                   ThreadResult* res) {
   jnvm::server::Client* rd = replicas[ep].get();
   std::vector<jnvm::server::RespReply> replies;
+  std::vector<uint64_t> reply_ns;  // per-reply parse stamps (Client::Sync)
   // Plan the round, then pipe writes and reads to their connections.
   uint32_t nw = 0;
   std::vector<uint64_t> write_shards;  // session: LASTSEQ piggyback order
@@ -260,13 +264,12 @@ bool ReplicaRound(const Config& cfg, jnvm::Xorshift& rng, uint32_t n,
   // this round's own writes (read-your-writes across connections).
   if (nw > 0) {
     const uint64_t t0 = jnvm::NowNs();
-    if (!primary->Sync(&replies)) {
+    if (!primary->Sync(&replies, &reply_ns)) {
       res->error_msg = "write sync: " + primary->last_error();
       res->errors++;
       failed->store(true);
       return false;
     }
-    const uint64_t per_op = (jnvm::NowNs() - t0) / nw;
     for (size_t i = 0; i < replies.size(); ++i) {
       const auto& r = replies[i];
       const bool is_lastseq = cfg.session && (i % 2) == 1;
@@ -298,20 +301,19 @@ bool ReplicaRound(const Config& cfg, jnvm::Xorshift& rng, uint32_t n,
         failed->store(true);
         return false;
       }
-      res->write_lat.Record(per_op);
+      res->write_lat.Record(reply_ns[i] - t0);
       res->writes++;
     }
   }
   if (nreads > 0) {
     const uint64_t t0 = jnvm::NowNs();
-    if (!rd->Sync(&replies)) {
+    if (!rd->Sync(&replies, &reply_ns)) {
       res->error_msg = "read sync: " + rd->last_error();
       res->errors++;
       failed->store(true);
       return false;
     }
     // Read latency includes any replica-side staleness wait (parked reads).
-    const uint64_t per_op = (jnvm::NowNs() - t0) / nreads;
     for (size_t i = 0; i < replies.size(); ++i) {
       const auto& r = replies[i];
       if (i < read_kind.size() && read_kind[i] == 0) {
@@ -339,7 +341,7 @@ bool ReplicaRound(const Config& cfg, jnvm::Xorshift& rng, uint32_t n,
         failed->store(true);
         return false;
       }
-      res->read_lat.Record(per_op);
+      res->read_lat.Record(reply_ns[i] - t0);
       res->reads++;
       if (r.type == jnvm::server::RespReply::Type::kNil) {
         res->misses++;
@@ -827,6 +829,7 @@ void Worker(const Config& cfg, uint32_t tid, uint64_t deadline_ns,
 
   jnvm::Xorshift rng(cfg.seed + tid);
   std::vector<jnvm::server::RespReply> replies;
+  std::vector<uint64_t> reply_ns;  // per-reply parse stamps (Client::Sync)
   std::vector<bool> is_read;
   uint64_t version = 1;
   if (cfg.read_from_replica) {
@@ -876,16 +879,18 @@ void Worker(const Config& cfg, uint32_t tid, uint64_t deadline_ns,
       }
     }
     ++version;
+    // Every op of the round is sent by the one write inside Sync; each is
+    // charged from there to the parse of its own reply.
     const uint64_t t0 = jnvm::NowNs();
-    if (!client->Sync(&replies)) {
+    if (!client->Sync(&replies, &reply_ns)) {
       res->errors++;
       res->error_msg = "sync: " + client->last_error();
       failed->store(true);
       return;
     }
-    const uint64_t per_op = (jnvm::NowNs() - t0) / n;
     for (uint32_t i = 0; i < replies.size(); ++i) {
       const auto& r = replies[i];
+      const uint64_t lat = reply_ns[i] - t0;
       if (IsWaitTimeout(r)) {
         res->wait_timeouts++;
         if (!cfg.allow_waittimeout) {
@@ -895,7 +900,7 @@ void Worker(const Config& cfg, uint32_t tid, uint64_t deadline_ns,
           return;
         }
         // Degraded but locally durable — record it as a completed write.
-        res->write_lat.Record(per_op);
+        res->write_lat.Record(lat);
         res->writes++;
         continue;
       }
@@ -906,13 +911,13 @@ void Worker(const Config& cfg, uint32_t tid, uint64_t deadline_ns,
         return;
       }
       if (is_read[i]) {
-        res->read_lat.Record(per_op);
+        res->read_lat.Record(lat);
         res->reads++;
         if (r.type == jnvm::server::RespReply::Type::kNil) {
           res->misses++;
         }
       } else {
-        res->write_lat.Record(per_op);
+        res->write_lat.Record(lat);
         res->writes++;
       }
     }
