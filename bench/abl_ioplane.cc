@@ -9,10 +9,19 @@
 // flush path (one ring submission flushes every dirty connection), reported
 // as batch_flushes in the final column.
 //
-// NOTE: loop scaling needs hardware parallelism. On a single-core host all
-// loops time-share one CPU and the loops column flattens toward 1x — the
-// table is still useful there as a regression check that the multi-loop
-// plane costs nothing when cores are absent.
+// Server and clients are pinned to disjoint halves of the CPUs this process
+// may use: the main thread takes the server half before Server::Start, so
+// every loop and shard worker thread inherits it, and each client thread
+// pins itself to the other half. Each cell runs once to warm up, then
+// kRepeats times; the table reports the median, min and max of the repeats.
+//
+// NOTE: loop scaling needs hardware parallelism. The server gets half the
+// CPUs, so on a 4-CPU host 4 loops share 2 cores; on a single-CPU host the
+// two halves cannot be separated and everything shares the one CPU.
+#include <pthread.h>
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +44,43 @@ using namespace jnvm::server;
 namespace {
 
 constexpr uint32_t kPipeline = 32;
+constexpr int kRepeats = 5;
+
+// Disjoint CPU sets for the server and the client threads.
+struct CoreSplit {
+  cpu_set_t server;
+  cpu_set_t client;
+  std::string desc;
+};
+
+CoreSplit SplitCores() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  sched_getaffinity(0, sizeof(allowed), &allowed);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) {
+      cpus.push_back(c);
+    }
+  }
+  CoreSplit split;
+  CPU_ZERO(&split.server);
+  CPU_ZERO(&split.client);
+  if (cpus.size() < 2) {
+    split.server = split.client = allowed;
+    split.desc = "one CPU: server and clients share it";
+    return split;
+  }
+  const size_t half = cpus.size() / 2;
+  std::string server_cpus, client_cpus;
+  for (size_t i = 0; i < cpus.size(); ++i) {
+    const bool server = i < half;
+    CPU_SET(cpus[i], server ? &split.server : &split.client);
+    (server ? server_cpus : client_cpus) += " " + std::to_string(cpus[i]);
+  }
+  split.desc = "server CPUs" + server_cpus + ", client CPUs" + client_cpus;
+  return split;
+}
 
 ServerOptions BaseOpts(uint32_t shards, uint32_t loops,
                        const std::string& poller) {
@@ -59,7 +105,8 @@ uint64_t StatsField(Client& c, const char* field) {
 
 // One client thread: `rounds` pipelines of kPipeline mixed SET/GET ops.
 void Worker(uint16_t port, uint64_t keys, uint64_t rounds, uint64_t seed,
-            uint64_t* ops_out) {
+            const cpu_set_t* cpus, uint64_t* ops_out) {
+  pthread_setaffinity_np(pthread_self(), sizeof(*cpus), cpus);
   std::string err;
   auto c = Client::Connect("127.0.0.1", port, &err);
   if (c == nullptr) {
@@ -101,9 +148,14 @@ struct RunResult {
 };
 
 RunResult RunOnce(uint32_t conns, uint32_t loops, uint32_t shards,
-                  const std::string& poller, uint64_t keys, uint64_t rounds) {
+                  const std::string& poller, uint64_t keys, uint64_t rounds,
+                  const CoreSplit& cores) {
+  // Threads inherit their creator's CPU mask: the server's threads start
+  // while this (the only other) thread sits on the server CPUs.
+  sched_setaffinity(0, sizeof(cores.server), &cores.server);
   std::string err;
   auto server = Server::Start(BaseOpts(shards, loops, poller), &err);
+  sched_setaffinity(0, sizeof(cores.client), &cores.client);
   if (server == nullptr) {
     std::fprintf(stderr, "server: %s\n", err.c_str());
     std::exit(1);
@@ -115,7 +167,7 @@ RunResult RunOnce(uint32_t conns, uint32_t loops, uint32_t shards,
     std::vector<std::thread> workers;
     for (uint32_t t = 0; t < conns; ++t) {
       workers.emplace_back(Worker, server->port(), keys, rounds,
-                           0xab1e + t, &ops[t]);
+                           0xab1e + t, &cores.client, &ops[t]);
     }
     for (auto& th : workers) {
       th.join();
@@ -152,6 +204,9 @@ int main() {
               std::thread::hardware_concurrency());
   std::printf("==============================================================\n");
 
+  const CoreSplit cores = SplitCores();
+  std::printf("pinned: %s; 1 warm-up + %d repeats per cell\n",
+              cores.desc.c_str(), kRepeats);
   const uint64_t keys = Scaled(4'000);
   const uint64_t rounds = Scaled(200);
 
@@ -163,22 +218,30 @@ int main() {
                 "would fall back to epoll)\n");
   }
 
-  double base = 0;  // conns=8 loops=1 shards=4 epoll row
-  std::printf("\n%-7s %6s %6s %7s %12s %8s %14s\n", "poller", "conns",
-              "loops", "shards", "ops/s", "scale", "batch_flushes");
+  double base = 0;  // median of the first row
+  std::printf("\n%-7s %6s %6s %7s %11s %11s %11s %8s %14s\n", "poller",
+              "conns", "loops", "shards", "median", "min", "max", "scale",
+              "batch_flushes");
   for (const std::string& poller : pollers) {
     for (uint32_t shards : {1u, 4u}) {
       for (uint32_t loops : {1u, 2u, 4u}) {
         for (uint32_t conns : {2u, 8u}) {
-          const RunResult r =
-              RunOnce(conns, loops, shards, poller, keys, rounds);
-          if (base == 0) {
-            base = r.ops_per_sec;
+          RunOnce(conns, loops, shards, poller, keys, rounds, cores);  // warm-up
+          std::vector<double> rates;
+          RunResult r;
+          for (int i = 0; i < kRepeats; ++i) {
+            r = RunOnce(conns, loops, shards, poller, keys, rounds, cores);
+            rates.push_back(r.ops_per_sec);
           }
-          std::printf("%-7s %6u %6u %7u %11.1fK %7.2fx %14llu%s\n",
-                      r.poller.c_str(), conns, loops, shards,
-                      r.ops_per_sec / 1e3,
-                      base > 0 ? r.ops_per_sec / base : 0.0,
+          std::sort(rates.begin(), rates.end());
+          const double median = rates[rates.size() / 2];
+          if (base == 0) {
+            base = median;
+          }
+          std::printf("%-7s %6u %6u %7u %10.1fK %10.1fK %10.1fK %7.2fx %14llu%s\n",
+                      r.poller.c_str(), conns, loops, shards, median / 1e3,
+                      rates.front() / 1e3, rates.back() / 1e3,
+                      base > 0 ? median / base : 0.0,
                       static_cast<unsigned long long>(r.batch_flushes),
                       r.poller != poller ? "  (fallback!)" : "");
         }
@@ -186,9 +249,10 @@ int main() {
     }
   }
   std::printf(
-      "\n(scale is relative to the first row. The loops dimension should\n"
-      "climb with available cores; batch_flushes > 0 on uring rows proves\n"
-      "the batched-SENDMSG flush path carried traffic. A `(fallback!)`\n"
-      "marker means the requested poller was unavailable at runtime.)\n");
+      "\n(ops/s over the repeats; scale is each median relative to the first\n"
+      "row's. The loops dimension should climb with the server's cores;\n"
+      "batch_flushes (last repeat) > 0 on uring rows proves the batched-\n"
+      "SENDMSG flush path carried traffic. A `(fallback!)` marker means the\n"
+      "requested poller was unavailable at runtime.)\n");
   return 0;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/core/pool.h"
+
 namespace jnvm::core {
 
 ObjectView::ObjectView(Heap* heap, Offset master)
@@ -19,6 +21,13 @@ ObjectView::ObjectView(Heap* heap, Offset master)
 ObjectView::ObjectView(Heap* heap, Offset slot, size_t slot_bytes)
     : heap_(heap), master_(slot), pool_(true), capacity_(slot_bytes), ppb_(slot_bytes) {
   JNVM_DCHECK(!heap->IsBlockAligned(slot));
+}
+
+ObjectView ObjectView::Of(Heap* heap, Offset ref) {
+  if (heap->IsBlockAligned(ref)) {
+    return ObjectView(heap, ref);
+  }
+  return ObjectView(heap, ref, PoolManager::SlotBytesOf(heap, ref));
 }
 
 void ObjectView::ReadBytes(size_t off, void* dst, size_t n) const {

@@ -28,6 +28,9 @@ class ObjectView {
   ObjectView(Heap* heap, Offset master);
   // Pool slot: `slot` points inside a pool block; `slot_bytes` is its size.
   ObjectView(Heap* heap, Offset slot, size_t slot_bytes);
+  // Either of the above, chosen by the alignment of `ref` (a non-null
+  // persistent reference: master block or pool slot).
+  static ObjectView Of(Heap* heap, Offset ref);
 
   Heap& heap() const { return *heap_; }
   Offset master() const { return master_; }

@@ -44,11 +44,7 @@ void PObject::AttachExisting(JnvmRuntime& rt, nvm::Offset ref) {
   rt_ = &rt;
   heap_ = &rt.heap();
   cls_ = nullptr;  // filled by the runtime's resurrection path if needed
-  if (heap_->IsBlockAligned(ref)) {
-    view_ = ObjectView(heap_, ref);
-  } else {
-    view_ = ObjectView(heap_, ref, PoolManager::SlotBytesOf(heap_, ref));
-  }
+  view_ = ObjectView::Of(heap_, ref);
   attached_ = true;
 }
 

@@ -16,6 +16,12 @@ PRefArray::PRefArray(JnvmRuntime& rt, uint64_t capacity) {
   PwbField(kCapacityOff, sizeof(uint64_t));
 }
 
+std::vector<nvm::Offset> PRefArray::ReadAllRaw() const {
+  std::vector<nvm::Offset> cells(capacity());
+  ReadBytesField(kSlotsOff, cells.data(), cells.size() * sizeof(nvm::Offset));
+  return cells;
+}
+
 void PRefArray::Trace(ObjectView& view, RefVisitor& v) {
   const uint64_t cap = view.Read<uint64_t>(kCapacityOff);
   // A torn capacity cannot escape the payload: clamp defensively.

@@ -8,6 +8,8 @@
 #ifndef JNVM_SRC_CORE_REF_ARRAY_H_
 #define JNVM_SRC_CORE_REF_ARRAY_H_
 
+#include <vector>
+
 #include "src/core/pobject.h"
 
 namespace jnvm::core {
@@ -35,6 +37,10 @@ class PRefArray final : public PObject {
     WriteRefRaw(SlotOff(i), ref);
     PwbField(SlotOff(i), sizeof(uint64_t));
   }
+
+  // Every cell, in one device read per block of the array rather than one
+  // per cell (map resurrection). Follows in-flight copies like GetRaw.
+  std::vector<nvm::Offset> ReadAllRaw() const;
 
   Handle<PObject> Get(uint64_t i) const { return ReadPObject(SlotOff(i)); }
   void Set(uint64_t i, const PObject* obj) {

@@ -57,9 +57,15 @@ struct StringKeyPolicy {
     k.Validate();  // no fence; the map's publish fence covers it
     return PairT(rt, &k, value);
   }
+  // Key through the pair's and the key's proxies (the oracle walk).
   static VKey LoadKey(PairT& pair) {
     const auto k = std::static_pointer_cast<PString>(pair.Key());
     return k->Str();
+  }
+  // Key of the published pair at raw reference `pair`, with no proxies
+  // (resurrection).
+  static VKey ReadKey(core::JnvmRuntime& rt, nvm::Offset pair) {
+    return PString::ReadRaw(rt, PairT::KeyRawAt(rt, pair));
   }
   static void FreeKey(core::JnvmRuntime& rt, PairT& pair) {
     const nvm::Offset kref = pair.KeyRaw();
@@ -78,6 +84,9 @@ struct LongKeyPolicy {
     return PairT(rt, key, value);
   }
   static VKey LoadKey(PairT& pair) { return pair.Key(); }
+  static VKey ReadKey(core::JnvmRuntime& rt, nvm::Offset pair) {
+    return PairT::KeyAt(rt, pair);
+  }
   static void FreeKey(core::JnvmRuntime&, PairT&) {}  // inline key
 };
 
@@ -115,6 +124,14 @@ void MirrorForEach(const SkipListMap<K, uint64_t, L>& m,
                    const std::function<void(const K&, uint64_t)>& fn) {
   for (auto it = m.begin(); it != m.end(); ++it) {
     fn(it.key(), it.value());
+  }
+}
+
+// Pre-sizes a hash mirror for `n` entries; ordered mirrors have no buckets.
+template <typename M>
+void MirrorReserve(M& m, size_t n) {
+  if constexpr (requires { m.reserve(n); }) {
+    m.reserve(n);
   }
 }
 
@@ -176,24 +193,32 @@ class PMap final : public core::PObject {
   }
 
   // Resurrection (§4.3.2): inspect each cell; non-null references feed the
-  // mirror, empty ones feed the volatile free queue.
+  // mirror, empty ones feed the volatile free queue. Only keys are read,
+  // straight from the device (cell -> pair -> key bytes), with no pair or
+  // key proxy: recovery has already nullified every torn or invalid
+  // reference, so each non-null cell leads to a valid pair and key.
   void Resurrect_() override {
     std::lock_guard<std::mutex> lk(mu_);
+    core::JnvmRuntime& rt = runtime();
     arr_ = ReadPObjectAs<core::PRefArray>(kArrOff);
     mirror_.clear();
     free_slots_.clear();
     cache_.clear();
     cache_lru_.clear();
     lru_pos_.clear();
-    const uint64_t cap = arr_->capacity();
-    for (uint64_t i = 0; i < cap; ++i) {
-      const nvm::Offset ref = arr_->GetRaw(i);
-      if (ref == 0) {
+    const std::vector<nvm::Offset> cells = arr_->ReadAllRaw();
+    size_t occupied = 0;
+    for (const nvm::Offset ref : cells) {
+      occupied += ref != 0 ? 1 : 0;
+    }
+    MirrorReserve(mirror_, occupied);
+    free_slots_.reserve(cells.size() - occupied);
+    for (uint64_t i = 0; i < cells.size(); ++i) {
+      if (cells[i] == 0) {
         free_slots_.push_back(i);
         continue;
       }
-      auto pair = PairAt(i);
-      mirror_[KeyPolicy::LoadKey(*pair)] = i;
+      mirror_[KeyPolicy::ReadKey(rt, cells[i])] = i;
     }
     if (caching_ == ProxyCaching::kEager) {
       PopulateCacheLocked();
@@ -316,6 +341,13 @@ class PMap final : public core::PObject {
   size_t Size() {
     std::lock_guard<std::mutex> lk(mu_);
     return mirror_.size();
+  }
+
+  // Keys only, in mirror order, from DRAM: no device reads, no proxies.
+  void ForEachKey(const std::function<void(const VKey&)>& fn) {
+    std::lock_guard<std::mutex> lk(mu_);
+    MirrorForEach<typename Traits::Mirror, VKey>(
+        mirror_, [&](const VKey& k, uint64_t) { fn(k); });
   }
 
   // Iterates keys in mirror order (sorted for tree/skip-list mirrors).

@@ -27,6 +27,10 @@ class PRefPair final : public core::PObject {
   nvm::Offset KeyRaw() const { return ReadRefRaw(kKeyOff); }
   core::Handle<core::PObject> Value() const { return ReadPObject(kValueOff); }
   core::Handle<core::PObject> Key() const { return ReadPObject(kKeyOff); }
+  // Key reference of the published pair at `pair`, read without a proxy
+  // (map resurrection). Set once before publication, so no failure-atomic
+  // in-flight copy of the pair can hold a different one.
+  static nvm::Offset KeyRawAt(core::JnvmRuntime& rt, nvm::Offset pair);
 
   // Atomic value replacement (§4.1.6); the variant with FreeOld is what the
   // Infinispan backend uses to keep key→value associations sound (§4.1.6).
@@ -54,6 +58,8 @@ class PIntPair final : public core::PObject {
 
   nvm::Offset ValueRaw() const { return ReadRefRaw(kValueOff); }
   int64_t Key() const { return ReadField<int64_t>(kKeyOff); }
+  // Inline key of the published pair at `pair`, read without a proxy.
+  static int64_t KeyAt(core::JnvmRuntime& rt, nvm::Offset pair);
   core::Handle<core::PObject> Value() const { return ReadPObject(kValueOff); }
 
   void SetValue(core::PObject* v) { UpdateRef(kValueOff, v); }

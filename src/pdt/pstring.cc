@@ -39,6 +39,17 @@ std::string PString::Str() const {
   return out;
 }
 
+std::string PString::ReadRaw(JnvmRuntime& rt, nvm::Offset ref) {
+  const core::ObjectView v = core::ObjectView::Of(&rt.heap(), ref);
+  const uint32_t len = v.Read<uint32_t>(kLenOff);
+  JNVM_CHECK(len <= v.capacity() - kDataOff);
+  std::string out(len, '\0');
+  if (len > 0) {
+    v.ReadBytes(kDataOff, out.data(), len);
+  }
+  return out;
+}
+
 bool PString::Equals(std::string_view s) const {
   if (Length() != s.size()) {
     return false;

@@ -41,6 +41,12 @@ class PString final : public PObject {
   std::string Str() const;
   bool Equals(std::string_view s) const;
 
+  // Reads the string at raw reference `ref` without building a proxy: the
+  // map resurrection path, which reads every key once on restart. Reads go
+  // straight to the device, so `ref` must be published (strings are
+  // immutable, so no failure-atomic block holds an in-flight copy of one).
+  static std::string ReadRaw(JnvmRuntime& rt, nvm::Offset ref);
+
   // Byte content starting offset within the payload.
   static constexpr size_t kLenOff = 0;
   static constexpr size_t kDataOff = 4;

@@ -2076,7 +2076,7 @@ bool Server::EnforceOutCap(Loop& lp, Conn& conn) {
 
 std::string Server::BuildStats(Loop& lp) {
   std::string out;
-  char line[512];
+  char line[768];
   // Counters are per-loop (each slot written by one thread, read here
   // relaxed): the aggregate can lag in-flight operations but never tears
   // or loses increments under --loops > 1.
@@ -2152,7 +2152,8 @@ std::string Server::BuildStats(Loop& lp) {
         "elided_fences=%llu puts=%llu gets=%llu misses=%llu updates=%llu "
         "deletes=%llu bytes_w=%llu bytes_r=%llu cache_hits=%llu "
         "cache_misses=%llu psyncs=%llu pfences=%llu inline_batches=%llu "
-        "worker_batches=%llu\n",
+        "worker_batches=%llu open_heap_us=%llu open_index_us=%llu "
+        "open_log_us=%llu open_slots_us=%llu\n",
         sh->index(), static_cast<unsigned long long>(s.records),
         static_cast<unsigned long long>(s.queue_depth),
         static_cast<unsigned long long>(s.batches),
@@ -2170,7 +2171,11 @@ std::string Server::BuildStats(Loop& lp) {
         static_cast<unsigned long long>(s.device.psyncs),
         static_cast<unsigned long long>(s.device.pfences),
         static_cast<unsigned long long>(s.inline_batches),
-        static_cast<unsigned long long>(s.worker_batches));
+        static_cast<unsigned long long>(s.worker_batches),
+        static_cast<unsigned long long>(s.open_us.heap),
+        static_cast<unsigned long long>(s.open_us.index),
+        static_cast<unsigned long long>(s.open_us.log),
+        static_cast<unsigned long long>(s.open_us.slots));
     out += line;
     if (s.repl.enabled) {
       std::snprintf(

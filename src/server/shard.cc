@@ -101,6 +101,15 @@ constexpr char kReadonlyMsg[] = "READONLY replica - write rejected";
 
 uint64_t NowMs() { return NowNs() / 1000000ull; }
 
+// Microseconds since `*t0`, rounded up so a phase that ran never reads 0;
+// advances `*t0` to now, where the next phase starts.
+uint64_t PhaseUs(uint64_t* t0) {
+  const uint64_t now = NowNs();
+  const uint64_t us = (now - *t0 + 999) / 1000;
+  *t0 = now;
+  return us;
+}
+
 }  // namespace
 
 std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
@@ -132,6 +141,7 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
   const std::string dax = DaxPathFor(opts, index);
   const std::string image = ImagePathFor(opts, index);
   const nvm::DeviceOptions dopts = DeviceOptionsFor(opts);
+  uint64_t phase_t0 = NowNs();
   if (!dax.empty()) {
     // Cluster fleet mode: the device is the mmap'd file itself — a crashed
     // process (kill -9) leaves its state in the page cache, and the next
@@ -155,7 +165,10 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
     s->dev_ = std::make_unique<nvm::PmemDevice>(dopts);
     s->rt_ = core::JnvmRuntime::Format(s->dev_.get());
   }
+  s->open_us_.heap = PhaseUs(&phase_t0);
 
+  // Binding the backend resurrects the store map, which rebuilds its
+  // volatile mirror from the keys alone.
   if (opts.backend == "jpdt") {
     s->backend_ = std::make_unique<store::JpdtBackend>(s->rt_.get(), kRootName,
                                                        opts.map_capacity);
@@ -167,6 +180,7 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
   sopts.cache_ratio = 0.0;  // J-NVM backends run uncached (§5.3.1)
   sopts.expected_records = opts.map_capacity;
   s->kv_ = std::make_unique<store::KvStore>(s->backend_.get(), nullptr, sopts);
+  s->open_us_.index = PhaseUs(&phase_t0);
 
   if (opts.repl_log) {
     repl::ReplLogOptions lopts;
@@ -229,11 +243,13 @@ std::unique_ptr<Shard> Shard::Open(const ShardOptions& opts, uint32_t index,
       s->txn_decisions_.Add(id, sd.first, std::move(sd.second));
     }
     s->PublishReplStats();
+    s->open_us_.log = PhaseUs(&phase_t0);
   }
 
-  // Per-slot accounting starts from the recovered store; every later
+  // Per-slot accounting starts from the recovered store's keys; every later
   // mutation adjusts it incrementally in the batch executor.
   s->RebuildSlotCounts();
+  s->open_us_.slots = PhaseUs(&phase_t0);
 
   s->worker_ = std::thread(&Shard::WorkerLoop, s.get());
   return s;
@@ -1100,7 +1116,7 @@ bool Shard::ExecuteSnapInstall(const Request& req, std::string* error) {
     keep.insert(e.key);
   }
   std::vector<std::string> drop;
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
+  backend_->ForEachKey([&](const std::string& key) {
     if (keep.find(key) == keep.end()) {
       drop.push_back(key);
     }
@@ -1392,7 +1408,7 @@ bool Shard::ExecuteSlotPurge(const Request& req, std::string* reply,
     return false;
   }
   std::vector<std::string> victims;
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
+  backend_->ForEachKey([&](const std::string& key) {
     const uint16_t s = cluster::SlotForKey(key);
     if (s >= req.slot_lo && s <= req.slot_hi) {
       victims.push_back(key);
@@ -1486,7 +1502,7 @@ void Shard::SlotDelta(std::string_view key, int d) {
 
 void Shard::RebuildSlotCounts() {
   std::vector<uint32_t> fresh(cluster::kNumSlots, 0);
-  backend_->SnapshotRecords([&](const std::string& key, const store::Record&) {
+  backend_->ForEachKey([&](const std::string& key) {
     fresh[cluster::SlotForKey(key)]++;
   });
   std::lock_guard<std::mutex> lk(slot_mu_);
@@ -2040,6 +2056,7 @@ ShardStats Shard::Stats() const {
   s.records = backend_->Size();
   s.ask_replies = ask_replies_.load(std::memory_order_relaxed);
   s.mig_applied_ops = mig_applied_ops_.load(std::memory_order_relaxed);
+  s.open_us = open_us_;
   s.ops = backend_->stats();
   s.cache = kv_->cache_stats();
   s.device = dev_->stats();

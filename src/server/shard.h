@@ -426,6 +426,15 @@ struct CkptStats {
   uint64_t retry_later = 0;   // REPLSNAP/REPLDIFF refused mid-bootstrap
 };
 
+// How long each phase of Shard::Open() took, in µs rounded up (DESIGN.md
+// §11). A phase that did not run reads 0.
+struct OpenPhaseUs {
+  uint64_t heap = 0;   // device + core heap recovery
+  uint64_t index = 0;  // store map mirror rebuild
+  uint64_t log = 0;    // replication-log scan + redo
+  uint64_t slots = 0;  // per-slot key-count seed
+};
+
 struct ShardStats {
   uint64_t queue_depth = 0;
   uint64_t batches = 0;
@@ -440,6 +449,7 @@ struct ShardStats {
   // MIGRATING phase) and ops imported through kMigApply.
   uint64_t ask_replies = 0;
   uint64_t mig_applied_ops = 0;
+  OpenPhaseUs open_us;
   store::OpStats ops;
   store::CacheStats cache;
   nvm::DeviceStats device;
@@ -674,6 +684,7 @@ class Shard {
   ShardOptions opts_;
   CompletionSink* sink_ = nullptr;
   bool recovered_ = false;
+  OpenPhaseUs open_us_;  // set by Open() before the shard is shared
 
   std::unique_ptr<nvm::PmemDevice> dev_;
   std::unique_ptr<core::JnvmRuntime> rt_;

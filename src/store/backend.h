@@ -108,6 +108,15 @@ class Backend {
     return false;
   }
 
+  // Visits every key once without reading its value: per-slot key counts,
+  // the snapshot-install drop list and slot purges need nothing more.
+  // Returns false for backends without full-iteration support. `fn` must
+  // not call back into the backend. Not counted in OpStats.
+  virtual bool ForEachKey(const std::function<void(const std::string&)>& fn) {
+    (void)fn;
+    return false;
+  }
+
   OpStats stats() const {
     OpStats s;
     s.puts = puts_.load(std::memory_order_relaxed);

@@ -65,6 +65,11 @@ bool JpdtBackend::SnapshotRecords(
   return true;
 }
 
+bool JpdtBackend::ForEachKey(const std::function<void(const std::string&)>& fn) {
+  map_->ForEachKey(fn);  // the DRAM mirror: no device reads
+  return true;
+}
+
 bool JpdtBackend::DoTouch(const std::string& key) {
   const auto rec = map_->GetAs<PRecord>(key);
   if (rec == nullptr) {

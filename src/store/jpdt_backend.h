@@ -21,6 +21,7 @@ class JpdtBackend final : public Backend {
   size_t Size() override;
   bool SnapshotRecords(
       const std::function<void(const std::string&, const Record&)>& fn) override;
+  bool ForEachKey(const std::function<void(const std::string&)>& fn) override;
 
   pdt::PStringHashMap& map() { return *map_; }
 

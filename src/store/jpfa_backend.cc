@@ -76,6 +76,13 @@ bool JpfaBackend::SnapshotRecords(
   return true;
 }
 
+bool JpfaBackend::ForEachKey(const std::function<void(const std::string&)>& fn) {
+  // The mirror lives in DRAM, outside any in-flight copy: no block needed.
+  std::lock_guard<std::mutex> lk(op_mu_);
+  map_->ForEachKey(fn);
+  return true;
+}
+
 bool JpfaBackend::DoTouch(const std::string& key) {
   std::lock_guard<std::mutex> lk(op_mu_);
   core::FaBlock fa(*rt_);

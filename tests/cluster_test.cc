@@ -5,6 +5,7 @@
 // guard, the STATS cluster line, and a live two-node slot migration with
 // writes racing the handoff.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -304,6 +305,18 @@ TEST_F(ClusterE2E, LiveMigrationMovesKeysExactlyOnce) {
       {"CLUSTER", "SETSLOT", "MIGRATE", "0", "8191", "1", "2"}, &r));
   ASSERT_EQ(r.type, RespReply::Type::kSimple) << r.str;
 
+  // While the range is migrating, CLUSTER INFO reports the source's keys in
+  // it, read from the per-slot counts. The throttled copy has not handed
+  // anything off yet, so every preloaded in-range key is still counted.
+  const auto in_range =
+      std::count_if(keys.begin(), keys.end(),
+                    [](const std::string& k) { return SlotForKey(k) <= 8191; });
+  ASSERT_TRUE(admin->Roundtrip({"CLUSTER", "INFO"}, &r));
+  ASSERT_EQ(r.type, RespReply::Type::kBulk) << r.str;
+  EXPECT_NE(r.str.find("keys_in_mig_range:" + std::to_string(in_range) + "\n"),
+            std::string::npos)
+      << r.str;
+
   // Writes racing the migration; the client absorbs every redirect.
   for (const std::string& k : keys) {
     ASSERT_TRUE(cc->Set(k, "v1:" + k)) << cc->last_error();
@@ -319,6 +332,8 @@ TEST_F(ClusterE2E, LiveMigrationMovesKeysExactlyOnce) {
   EXPECT_EQ(n1.cs->OwnerOf(0), 1u);
   EXPECT_EQ(n0.cs->mig_state(), MigState::kNone);
   EXPECT_GE(n0.cs->epoch(), 2u);
+  ASSERT_TRUE(admin->Roundtrip({"CLUSTER", "INFO"}, &r));
+  EXPECT_EQ(r.str.find("keys_in_mig_range:"), std::string::npos) << r.str;
 
   // Every acked key readable exactly once at its current owner; an
   // in-range read at the old owner answers -MOVED, never a value.

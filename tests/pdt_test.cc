@@ -3,6 +3,8 @@
 // variants, plus restart/resurrection behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 
 #include "src/pdt/parray.h"
@@ -393,6 +395,50 @@ TYPED_TEST(PMapTypedTest, EagerVariantPopulatesOnResurrection) {
   EXPECT_EQ(a.get(), b.get());
 }
 
+TYPED_TEST(PMapTypedTest, ResurrectedMirrorEqualsPersistedCells) {
+  // Resurrection reads each key straight from the device; the oracle walk
+  // reads them through proxies. Both must agree for every key shape: pool-slot keys up to the largest pool class, the empty key, a
+  // one-block chained key, and keys chained over several blocks.
+  Fixture f;
+  const size_t payload = f.rt->heap().payload_per_block();
+  const size_t pool_max = f.rt->pools().max_slot_bytes() - PString::kDataOff;
+  const std::set<std::string> keys = {
+      "", "a", "pool-key", std::string(pool_max, 'p'),
+      std::string(pool_max + 1, 'q'), std::string(payload + 1, 'c'),
+      std::string(5 * payload, 'x')};
+  {
+    TypeParam m(*f.rt, 4);
+    for (const std::string& k : keys) {
+      PString v(*f.rt, "v" + std::to_string(k.size()));
+      m.Put(k, &v);
+    }
+    PString gone(*f.rt, "gone");
+    m.Put("removed", &gone);
+    m.Remove("removed");
+    m.Pwb();
+    m.Validate();
+    f.rt->root().Put("map", &m);
+  }
+  f.CleanReopen();
+  const auto m = f.rt->root().template GetAs<TypeParam>("map");
+  ASSERT_NE(m, nullptr);
+  std::multiset<std::string> mirror;
+  m->ForEachKey([&](const std::string& k) { mirror.insert(k); });
+  std::multiset<std::string> persisted;
+  const size_t occupied =
+      m->ForEachPersisted([&](const std::string& k, Handle<core::PObject> v) {
+        persisted.insert(k);
+        EXPECT_EQ(std::static_pointer_cast<PString>(v)->Str(),
+                  "v" + std::to_string(k.size()));
+      });
+  EXPECT_EQ(occupied, keys.size());
+  EXPECT_EQ(mirror, persisted);
+  EXPECT_EQ(std::set<std::string>(mirror.begin(), mirror.end()), keys);
+  for (const std::string& k : keys) {
+    ASSERT_NE(m->Get(k), nullptr) << k.size();
+  }
+}
+
 // ---- Tree-specific: ordered iteration --------------------------------------------
 
 TEST(PTreeMapTest, ForEachIsOrdered) {
@@ -448,6 +494,39 @@ TEST(PLongHashMapTest, RestartKeepsIntKeys) {
   const auto m = f.rt->root().GetAs<PLongHashMap>("accounts");
   EXPECT_EQ(m->Size(), 50u);
   EXPECT_EQ(m->GetAs<PString>(31)->Str(), "v31");
+}
+
+template <typename MapT>
+class PLongMapTypedTest : public ::testing::Test {};
+
+using LongMapTypes = ::testing::Types<PLongHashMap, PLongTreeMap>;
+TYPED_TEST_SUITE(PLongMapTypedTest, LongMapTypes);
+
+TYPED_TEST(PLongMapTypedTest, ResurrectedMirrorEqualsPersistedCells) {
+  Fixture f;
+  const std::set<int64_t> keys = {INT64_MIN, -1, 0, 1, 42, INT64_MAX};
+  {
+    TypeParam m(*f.rt, 4);
+    for (const int64_t k : keys) {
+      PString v(*f.rt, std::to_string(k));
+      m.Put(k, &v);
+    }
+    m.Pwb();
+    m.Validate();
+    f.rt->root().Put("longs", &m);
+  }
+  f.CleanReopen();
+  const auto m = f.rt->root().template GetAs<TypeParam>("longs");
+  ASSERT_NE(m, nullptr);
+  std::multiset<int64_t> mirror;
+  m->ForEachKey([&](const int64_t& k) { mirror.insert(k); });
+  std::multiset<int64_t> persisted;
+  m->ForEachPersisted([&](const int64_t& k, Handle<core::PObject> v) {
+    persisted.insert(k);
+    EXPECT_EQ(std::static_pointer_cast<PString>(v)->Str(), std::to_string(k));
+  });
+  EXPECT_EQ(mirror, persisted);
+  EXPECT_EQ(std::set<int64_t>(mirror.begin(), mirror.end()), keys);
 }
 
 // ---- Property test: random ops mirror a std::map ----------------------------------

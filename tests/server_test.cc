@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -14,11 +15,14 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cluster/slot_map.h"
 #include "src/common/clock.h"
 #include "src/repl/frame.h"
 #include "src/server/client.h"
@@ -290,6 +294,99 @@ TEST(Shard, Batch1KeepsWriteThroughSemantics) {
   EXPECT_TRUE(rep.integrity_ok);
   EXPECT_EQ(rep.elided_fences, 0u);  // no group commit at batch=1
   EXPECT_FALSE(shard->Submit(Request{}));  // terminal after quiesce
+}
+
+// Installs a snapshot of `entries` at `snap_seq` through the shard's queue
+// and waits for the install's durability point.
+bool InstallSnapshot(Shard& shard, const std::vector<repl::SnapshotEntry>& entries,
+                     uint64_t snap_seq) {
+  auto waiter = std::make_shared<ReplWaiter>();
+  Request req;
+  req.op = Request::Op::kSnapInstall;
+  repl::EncodeSnapshot(snap_seq, entries, &req.value);
+  req.waiter = waiter;
+  return shard.Submit(std::move(req)) && waiter->Wait();
+}
+
+TEST(Shard, SlotCountsMatchAcrossDaxRestartAndSnapshotInstall) {
+  // Per-slot key counts are seeded from the store's keys when a shard opens
+  // and after a snapshot install; live writes adjust them one by one. All
+  // three must agree.
+  const std::string base =
+      (std::filesystem::temp_directory_path() /
+       ("jnvm_slots_" + std::to_string(::getpid())))
+          .string();
+  ShardOptions o = SmallShard(/*batch=*/16);
+  o.dax_base = base;
+  constexpr uint16_t kAll = cluster::kNumSlots - 1;
+  constexpr uint16_t kLo = 1000, kHi = 9000;
+  std::set<std::string> live;
+  const auto in_sub = [](const std::string& k) {
+    const uint16_t s = cluster::SlotForKey(k);
+    return s >= kLo && s <= kHi;
+  };
+  uint64_t all = 0, sub = 0;
+  {
+    CollectSink sink;
+    auto shard = Shard::Open(o, 0, &sink);
+    ASSERT_FALSE(shard->recovered());
+    uint64_t seq = 0;
+    const auto submit = [&](Request::Op op, const std::string& key) {
+      Request r;
+      r.op = op;
+      r.key = key;
+      r.value = "v:" + key;
+      r.conn_id = 1;
+      r.seq = seq++;
+      ASSERT_TRUE(shard->Submit(std::move(r)));
+    };
+    for (int i = 0; i < 400; ++i) {
+      live.insert("key:" + std::to_string(i));
+      submit(Request::Op::kSet, "key:" + std::to_string(i));
+    }
+    for (int i = 0; i < 400; i += 5) {
+      live.erase("key:" + std::to_string(i));
+      submit(Request::Op::kDel, "key:" + std::to_string(i));
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (sink.count() < seq) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    all = shard->KeysInSlotRange(0, kAll);
+    sub = shard->KeysInSlotRange(kLo, kHi);
+    EXPECT_EQ(all, live.size());
+    EXPECT_EQ(sub, static_cast<uint64_t>(std::count_if(live.begin(), live.end(), in_sub)));
+    EXPECT_GT(sub, 0u);
+    EXPECT_LT(sub, all);
+    ASSERT_TRUE(shard->Quiesce().integrity_ok);
+  }
+
+  CollectSink sink;
+  auto shard = Shard::Open(o, 0, &sink);  // recovers from the dax file
+  ASSERT_TRUE(shard->recovered());
+  EXPECT_EQ(shard->KeysInSlotRange(0, kAll), all);
+  EXPECT_EQ(shard->KeysInSlotRange(kLo, kHi), sub);
+
+  // The same keys with new values: the re-seeded counts do not move.
+  std::vector<repl::SnapshotEntry> entries;
+  for (const std::string& k : live) {
+    entries.push_back({k, store::Record{{"snap:" + k}}});
+  }
+  ASSERT_TRUE(InstallSnapshot(*shard, entries, 100));
+  EXPECT_EQ(shard->KeysInSlotRange(0, kAll), all);
+  EXPECT_EQ(shard->KeysInSlotRange(kLo, kHi), sub);
+
+  // Without the sub-range's keys: the install drops them.
+  std::erase_if(entries, [&](const repl::SnapshotEntry& e) { return in_sub(e.key); });
+  ASSERT_TRUE(InstallSnapshot(*shard, entries, 200));
+  EXPECT_EQ(shard->KeysInSlotRange(0, kAll), all - sub);
+  EXPECT_EQ(shard->KeysInSlotRange(kLo, kHi), 0u);
+  const ShardReport rep = shard->Quiesce();
+  EXPECT_TRUE(rep.integrity_ok);
+  EXPECT_EQ(rep.records, all - sub);
+  shard.reset();
+  std::filesystem::remove(base + ".shard0.pmem");
 }
 
 // ---- Chunked output queue ---------------------------------------------------
@@ -578,6 +675,83 @@ TEST_P(ServerE2E, ConcurrentClientsThenRestartRecoversEverything) {
 
   for (uint32_t i = 0; i < opts.nshards; ++i) {
     std::filesystem::remove(base + ".shard" + std::to_string(i) + ".img");
+  }
+}
+
+// Field `name` (e.g. "records=") on the STATS line starting with `prefix`;
+// nullopt when the line or the field is missing.
+std::optional<uint64_t> StatsLineField(const std::string& stats,
+                                       const std::string& prefix,
+                                       const std::string& name) {
+  // Searching "\n" + stats finds the line's start index in `stats`.
+  const size_t line = ("\n" + stats).find("\n" + prefix);
+  if (line == std::string::npos) {
+    return std::nullopt;
+  }
+  const size_t end = stats.find('\n', line);
+  const size_t pos = stats.find(" " + name, line);
+  if (pos == std::string::npos || pos > end) {
+    return std::nullopt;
+  }
+  return std::strtoull(stats.c_str() + pos + 1 + name.size(), nullptr, 10);
+}
+
+TEST(DaxRestart, StatsReportOpenPhasesAndRecords) {
+  // Each shard times the phases of its restart: heap recovery, store-index
+  // rebuild, log scan + redo, slot-count seed. After a dax restart all four
+  // are on its STATS line and non-zero, and the store holds every record.
+  const std::string base =
+      (std::filesystem::temp_directory_path() /
+       ("jnvm_open_phases_" + std::to_string(::getpid())))
+          .string();
+  ServerOptions opts;
+  opts.nshards = 2;
+  opts.shard = SmallShard(16);
+  opts.shard.dax_base = base;
+  constexpr int kKeys = 300;
+  std::string err;
+  uint64_t records[2] = {0, 0};
+  {
+    auto server = Server::Start(opts, &err);
+    ASSERT_NE(server, nullptr) << err;
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(c->Set("phase:" + std::to_string(i), std::string(64, 'v')));
+    }
+    const std::string stats = c->Stats().value_or("");
+    for (uint32_t i = 0; i < opts.nshards; ++i) {
+      const std::string shard = "shard" + std::to_string(i) + ":";
+      records[i] = StatsLineField(stats, shard, "records=").value_or(0);
+    }
+    EXPECT_EQ(records[0] + records[1], static_cast<uint64_t>(kKeys)) << stats;
+    ASSERT_TRUE(c->Shutdown());
+    server->Wait();
+    ASSERT_TRUE(server->shutdown_report().ok);
+  }
+  {
+    auto server = Server::Start(opts, &err);  // recovers from the dax files
+    ASSERT_NE(server, nullptr) << err;
+    EXPECT_TRUE(server->AnyShardRecovered());
+    auto c = Client::Connect("127.0.0.1", server->port(), &err);
+    ASSERT_NE(c, nullptr) << err;
+    const std::string stats = c->Stats().value_or("");
+    for (uint32_t i = 0; i < opts.nshards; ++i) {
+      const std::string shard = "shard" + std::to_string(i) + ":";
+      EXPECT_EQ(StatsLineField(stats, shard, "records="), records[i]) << stats;
+      for (const char* phase : {"open_heap_us=", "open_index_us=",
+                                "open_log_us=", "open_slots_us="}) {
+        const auto us = StatsLineField(stats, shard, phase);
+        ASSERT_TRUE(us.has_value()) << shard << phase << "\n" << stats;
+        EXPECT_GT(*us, 0u) << shard << phase;
+      }
+    }
+    ASSERT_TRUE(c->Shutdown());
+    server->Wait();
+    EXPECT_TRUE(server->shutdown_report().ok);
+  }
+  for (uint32_t i = 0; i < opts.nshards; ++i) {
+    std::filesystem::remove(base + ".shard" + std::to_string(i) + ".pmem");
   }
 }
 
