@@ -18,6 +18,14 @@ ObjectView::ObjectView(Heap* heap, Offset master)
   }
 }
 
+ObjectView::ObjectView(Heap* heap, const std::vector<Offset>& chain)
+    : heap_(heap), master_(chain.front()), ppb_(heap->payload_per_block()) {
+  if (chain.size() > 1) {
+    blocks_ = chain;
+  }
+  capacity_ = chain.size() * ppb_;
+}
+
 ObjectView::ObjectView(Heap* heap, Offset slot, size_t slot_bytes)
     : heap_(heap), master_(slot), pool_(true), capacity_(slot_bytes), ppb_(slot_bytes) {
   JNVM_DCHECK(!heap->IsBlockAligned(slot));

@@ -26,6 +26,9 @@ class ObjectView {
   ObjectView() = default;
   // Chained object: walks the block chain of `master`.
   ObjectView(Heap* heap, Offset master);
+  // Chained object whose blocks the caller already walked (`chain`, master
+  // first, as Heap::MarkChainLive returns it): no header is read.
+  ObjectView(Heap* heap, const std::vector<Offset>& chain);
   // Pool slot: `slot` points inside a pool block; `slot_bytes` is its size.
   ObjectView(Heap* heap, Offset slot, size_t slot_bytes);
   // Either of the above, chosen by the alignment of `ref` (a non-null

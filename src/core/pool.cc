@@ -63,12 +63,12 @@ bool PoolManager::AddBlock(uint16_t class_id, uint16_t slot_size, FreeList* list
 }
 
 void PoolManager::PushBlockSlots(Offset block, uint16_t slot_size, FreeList* list,
-                                 const std::vector<bool>* occupied) {
+                                 const std::vector<uint8_t>* occupied) {
   const size_t payload = heap_->payload_per_block();
   const uint32_t nslots = NumSlots(payload, slot_size);
   const Offset slots_base = heap_->PayloadOf(block) + kMetaOccupancyOff + nslots;
   for (uint32_t i = 0; i < nslots; ++i) {
-    if (occupied != nullptr && (*occupied)[i]) {
+    if (occupied != nullptr && (*occupied)[i] != 0) {
       continue;
     }
     list->slots.push_back(slots_base + static_cast<Offset>(i) * slot_size);
@@ -132,18 +132,17 @@ void PoolManager::RebuildFromLiveSlots(
     const uint32_t nslots = NumSlots(heap_->payload_per_block(), slot_size);
     const Offset slots_base = heap_->PayloadOf(block) + kMetaOccupancyOff + nslots;
 
-    std::vector<bool> occupied(nslots, false);
+    std::vector<uint8_t> occupied(nslots, 0);
     for (const Offset slot : live_slots) {
       const uint32_t index = static_cast<uint32_t>((slot - slots_base) / slot_size);
       JNVM_CHECK(index < nslots);
-      occupied[index] = true;
+      occupied[index] = 1;
     }
-    // Rewrite the hints precisely (reachability is the ground truth).
-    for (uint32_t i = 0; i < nslots; ++i) {
-      heap_->dev().Write<uint8_t>(heap_->PayloadOf(block) + kMetaOccupancyOff + i,
-                                  occupied[i] ? 1 : 0);
-    }
-    heap_->PwbRange(heap_->PayloadOf(block) + kMetaOccupancyOff, nslots);
+    // Rewrite the hints precisely (reachability is the ground truth), in
+    // one store per block.
+    const Offset occ = heap_->PayloadOf(block) + kMetaOccupancyOff;
+    heap_->dev().WriteBytes(occ, occupied.data(), nslots);
+    heap_->PwbRange(occ, nslots);
     PushBlockSlots(block, slot_size, &lists_[{class_id, slot_size}], &occupied);
   }
   // The caller (core recovery) fences once at the end of the procedure.
@@ -161,15 +160,10 @@ void PoolManager::RebuildByScan(const std::function<bool(uint16_t)>& is_pool_cla
     const uint16_t slot_size =
         heap_->dev().Read<uint16_t>(heap_->PayloadOf(block) + kMetaSlotSizeOff);
     const uint32_t nslots = NumSlots(heap_->payload_per_block(), slot_size);
-    std::vector<bool> occupied(nslots, false);
-    bool any_live = false;
-    for (uint32_t i = 0; i < nslots; ++i) {
-      const uint8_t occ =
-          heap_->dev().Read<uint8_t>(heap_->PayloadOf(block) + kMetaOccupancyOff + i);
-      occupied[i] = occ != 0;
-      any_live = any_live || occupied[i];
-    }
-    if (!any_live) {
+    std::vector<uint8_t> occupied(nslots);
+    heap_->dev().ReadBytes(heap_->PayloadOf(block) + kMetaOccupancyOff,
+                           occupied.data(), nslots);
+    if (std::all_of(occupied.begin(), occupied.end(), [](uint8_t o) { return o == 0; })) {
       heap_->FreeObject(block);
       continue;
     }

@@ -90,7 +90,7 @@ class PoolManager {
   // Creates a fresh pool block and pushes its slots on `list`.
   bool AddBlock(uint16_t class_id, uint16_t slot_size, FreeList* list);
   void PushBlockSlots(Offset block, uint16_t slot_size, FreeList* list,
-                      const std::vector<bool>* occupied);
+                      const std::vector<uint8_t>* occupied);
 
   Heap* heap_;
   std::mutex mu_;

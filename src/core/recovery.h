@@ -31,6 +31,10 @@ struct RecoveryReport {
   uint64_t traversed_objects = 0;
   uint64_t live_pool_slots = 0;
   uint64_t nullified_refs = 0;
+  // Device reads and writes made by the whole procedure (deterministic,
+  // unlike `seconds`).
+  uint64_t device_reads = 0;
+  uint64_t device_writes = 0;
   double seconds = 0.0;
 };
 

@@ -250,11 +250,25 @@ uint64_t Heap::NumAllocatedBlocks() const {
   return (bump_.load(std::memory_order_relaxed) - first_block_) / block_size_;
 }
 
-void Heap::MarkChainLive(Offset master, LiveBitmap* bitmap) const {
-  std::vector<Offset> blocks;
-  CollectBlocks(master, &blocks);
-  for (const Offset b : blocks) {
-    bitmap->Mark(BlockIndex(b));
+void Heap::MarkChainLive(Offset master, BlockHeader h, LiveBitmap* bitmap,
+                         std::vector<Offset>* chain) const {
+  const uint64_t limit = BlockIndex(dev_->size()) + 1;
+  if (chain != nullptr) {
+    chain->clear();
+  }
+  Offset block = master;
+  uint64_t guard = 0;
+  while (true) {
+    JNVM_CHECK_MSG(++guard <= limit, "block chain cycle");
+    bitmap->Mark(BlockIndex(block));
+    if (chain != nullptr) {
+      chain->push_back(block);
+    }
+    if (h.next == 0) {
+      return;
+    }
+    block = BlockOffset(h.next);
+    h = ReadHeader(block);
   }
 }
 
@@ -292,7 +306,7 @@ Heap::RecoveryStats Heap::RecoverBlockScan() {
   for (Offset b = first_block_; b < end; b += block_size_) {
     const BlockHeader h = ReadHeader(b);
     if (h.IsMaster() && h.valid) {
-      MarkChainLive(b, &bitmap);
+      MarkChainLive(b, h, &bitmap);
     }
   }
   RecoveryStats stats = SweepUnmarked(bitmap);

@@ -207,8 +207,11 @@ class Heap {
 
   // Helpers for the full graph recovery implemented in src/core:
   LiveBitmap NewBitmap() const { return LiveBitmap(BlockIndex(dev_->size()) + 1); }
-  // Marks all blocks of `master`'s chain live.
-  void MarkChainLive(Offset master, LiveBitmap* bitmap) const;
+  // Marks all blocks of `master`'s chain live. `h` is the master's header,
+  // already read by the caller, so only slave headers are read here. When
+  // `chain` is given it is cleared and receives the blocks, master first.
+  void MarkChainLive(Offset master, BlockHeader h, LiveBitmap* bitmap,
+                     std::vector<Offset>* chain = nullptr) const;
   // Frees every allocated block not marked live: zeroes its header word
   // (clearing the valid bit, §4.1.3), queues it, then issues one fence.
   RecoveryStats SweepUnmarked(const LiveBitmap& bitmap);

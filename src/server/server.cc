@@ -2152,8 +2152,8 @@ std::string Server::BuildStats(Loop& lp) {
         "elided_fences=%llu puts=%llu gets=%llu misses=%llu updates=%llu "
         "deletes=%llu bytes_w=%llu bytes_r=%llu cache_hits=%llu "
         "cache_misses=%llu psyncs=%llu pfences=%llu inline_batches=%llu "
-        "worker_batches=%llu open_heap_us=%llu open_index_us=%llu "
-        "open_log_us=%llu open_slots_us=%llu\n",
+        "worker_batches=%llu open_heap_us=%llu open_heap_reads=%llu "
+        "open_index_us=%llu open_log_us=%llu open_slots_us=%llu\n",
         sh->index(), static_cast<unsigned long long>(s.records),
         static_cast<unsigned long long>(s.queue_depth),
         static_cast<unsigned long long>(s.batches),
@@ -2173,6 +2173,7 @@ std::string Server::BuildStats(Loop& lp) {
         static_cast<unsigned long long>(s.inline_batches),
         static_cast<unsigned long long>(s.worker_batches),
         static_cast<unsigned long long>(s.open_us.heap),
+        static_cast<unsigned long long>(s.open_heap_reads),
         static_cast<unsigned long long>(s.open_us.index),
         static_cast<unsigned long long>(s.open_us.log),
         static_cast<unsigned long long>(s.open_us.slots));

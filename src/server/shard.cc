@@ -2057,6 +2057,7 @@ ShardStats Shard::Stats() const {
   s.ask_replies = ask_replies_.load(std::memory_order_relaxed);
   s.mig_applied_ops = mig_applied_ops_.load(std::memory_order_relaxed);
   s.open_us = open_us_;
+  s.open_heap_reads = rt_->recovery_report().device_reads;
   s.ops = backend_->stats();
   s.cache = kv_->cache_stats();
   s.device = dev_->stats();

@@ -450,6 +450,8 @@ struct ShardStats {
   uint64_t ask_replies = 0;
   uint64_t mig_applied_ops = 0;
   OpenPhaseUs open_us;
+  // Device reads of the core heap recovery in Open() (0 on a fresh heap).
+  uint64_t open_heap_reads = 0;
   store::OpStats ops;
   store::CacheStats cache;
   nvm::DeviceStats device;

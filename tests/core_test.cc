@@ -36,6 +36,7 @@ class Simple final : public PObject {
   void SetOther(const PObject* o) { WritePObject(kL.off[0], o); }
   void UpdateOther(PObject* o) { UpdateRef(kL.off[0], o); }  // §4.1.6
   nvm::Offset OtherRaw() const { return ReadRefRaw(kL.off[0]); }
+  void SetOtherRaw(nvm::Offset ref) { WriteRefRaw(kL.off[0], ref); }
 
   uint64_t Stamp() const { return ReadField<uint64_t>(kL.off[2]); }
   void SetStamp(uint64_t v) { WriteField<uint64_t>(kL.off[2], v); }
@@ -64,6 +65,18 @@ class BigArray final : public PObject {
 
   uint64_t Get(size_t i) const { return ReadField<uint64_t>(i * 8); }
   void Set(size_t i, uint64_t v) { WriteField<uint64_t>(i * 8, v); }
+};
+
+// A 1 KiB leaf spanning five blocks, like a store value.
+class Kilo final : public PObject {
+ public:
+  static const ClassInfo* Class() {
+    static const ClassInfo* info = RegisterClass(MakeClassInfo<Kilo>("test.Kilo"));
+    return info;
+  }
+
+  explicit Kilo(Resurrect) {}
+  explicit Kilo(JnvmRuntime& rt) { AllocatePersistent(rt, Class(), 1024); }
 };
 
 // A small immutable pool class (stand-in for PString at this layer).
@@ -389,6 +402,181 @@ TEST(RecoveryTest, FreedBlocksReusableAfterRecovery) {
     Simple s(*f.rt, i);  // must reuse swept blocks
   }
   EXPECT_EQ(f.rt->heap().bump(), bump_before);
+}
+
+// The walker validates a block-aligned target before it consults the live
+// bitmap: a marked block may be a slave of a live object or a live pool
+// block, and a reference to it is torn, not "already traced". In both tests
+// array cell 1 is traced before cell 0, so the target is marked by the time
+// the holder's reference is checked.
+TEST(RecoveryTest, TornReferenceToSlaveBlockNullified) {
+  Fixture f;
+  {
+    BigArray big(*f.rt);
+    big.Set(0, 5);
+    big.Pwb();
+    big.Validate();
+    std::vector<nvm::Offset> blocks;
+    f.rt->heap().CollectBlocks(big.addr(), &blocks);
+    ASSERT_GT(blocks.size(), 1u);
+    Simple holder(*f.rt, 1);
+    holder.SetOtherRaw(blocks[1]);
+    holder.Pwb();
+    holder.Validate();
+    PRefArray arr(*f.rt, 2);
+    arr.Set(0, &holder);
+    arr.Set(1, &big);
+    f.rt->root().Put("arr", &arr);
+  }
+  f.CleanReopen();
+  EXPECT_EQ(f.rt->recovery_report().nullified_refs, 1u);
+  const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+  EXPECT_EQ(std::static_pointer_cast<Simple>(arr->Get(0))->OtherRaw(), 0u);
+  const auto big = std::static_pointer_cast<BigArray>(arr->Get(1));
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(big->Get(0), 5u);
+}
+
+TEST(RecoveryTest, BlockAlignedReferenceToPoolBlockNullified) {
+  Fixture f;
+  {
+    Blob blob(*f.rt, 7);
+    Simple owner(*f.rt, 1);
+    owner.UpdateOther(&blob);
+    owner.Pwb();
+    owner.Validate();
+    const uint32_t bs = f.rt->heap().block_size();
+    Simple holder(*f.rt, 2);
+    holder.SetOtherRaw((blob.addr() / bs) * bs);  // the pool block itself
+    holder.Pwb();
+    holder.Validate();
+    PRefArray arr(*f.rt, 2);
+    arr.Set(0, &holder);
+    arr.Set(1, &owner);
+    f.rt->root().Put("arr", &arr);
+  }
+  f.CleanReopen();
+  EXPECT_EQ(f.rt->recovery_report().nullified_refs, 1u);
+  EXPECT_EQ(f.rt->recovery_report().live_pool_slots, 1u);
+  const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+  EXPECT_EQ(std::static_pointer_cast<Simple>(arr->Get(0))->OtherRaw(), 0u);
+  const auto owner = std::static_pointer_cast<Simple>(arr->Get(1));
+  const auto blob = std::static_pointer_cast<Blob>(owner->OtherP());
+  ASSERT_NE(blob, nullptr);
+  EXPECT_EQ(blob->Tag(), 7u);
+}
+
+TEST(RecoveryTest, SharedChildTracedOnce) {
+  Fixture f;
+  {
+    Simple p1(*f.rt, 1);
+    Simple p2(*f.rt, 2);
+    p1.Pwb();
+    p2.Pwb();
+    p1.Validate();
+    p2.Validate();
+    PRefArray arr(*f.rt, 2);
+    arr.Set(0, &p1);
+    arr.Set(1, &p2);
+    f.rt->root().Put("arr", &arr);
+  }
+  f.CleanReopen();
+  const uint64_t without_child = f.rt->recovery_report().traversed_objects;
+  {
+    const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+    Simple child(*f.rt, 3);
+    child.Pwb();
+    child.Validate();
+    std::static_pointer_cast<Simple>(arr->Get(0))->SetOther(&child);
+    std::static_pointer_cast<Simple>(arr->Get(1))->SetOther(&child);
+  }
+  f.CleanReopen();
+  EXPECT_EQ(f.rt->recovery_report().traversed_objects, without_child + 1);
+  EXPECT_EQ(f.rt->recovery_report().nullified_refs, 0u);
+  const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+  const auto c1 = std::static_pointer_cast<Simple>(arr->Get(0))->Other();
+  ASSERT_NE(c1, nullptr);
+  EXPECT_EQ(c1->X(), 3);
+  EXPECT_EQ(std::static_pointer_cast<Simple>(arr->Get(1))->Other()->addr(), c1->addr());
+}
+
+// The walker reads reference fields one payload block at a time; a nullified
+// cell in the middle of a block must leave every other cell of that block
+// (read after the nullification) and of its neighbours intact.
+TEST(RecoveryTest, InvalidTargetInSecondArrayBlockNullified) {
+  Fixture f;
+  const size_t ppb = f.rt->heap().payload_per_block();
+  const uint64_t cells = 2 * ppb / 8 + 4;  // three blocks
+  const uint64_t bad = ppb / 8 + 1;        // payload byte ppb + 16: block two
+  {
+    PRefArray arr(*f.rt, cells);
+    for (uint64_t i = 0; i < cells; ++i) {
+      Simple s(*f.rt, static_cast<int32_t>(i));
+      s.Pwb();
+      if (i != bad) {
+        s.Validate();  // the bad cell's target is never validated
+      }
+      arr.Set(i, &s);
+    }
+    f.rt->root().Put("arr", &arr);
+  }
+  f.CleanReopen();
+  EXPECT_EQ(f.rt->recovery_report().nullified_refs, 1u);
+  const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+  for (uint64_t i = 0; i < cells; ++i) {
+    if (i == bad) {
+      EXPECT_EQ(arr->GetRaw(i), 0u);
+      continue;
+    }
+    const auto s = std::static_pointer_cast<Simple>(arr->Get(i));
+    ASSERT_NE(s, nullptr) << "cell " << i;
+    EXPECT_EQ(s->X(), static_cast<int32_t>(i));
+  }
+}
+
+// Recovery reads each block it needs about once. Per pair: the holder's
+// header and its one payload block, then the value's five headers — seven
+// reads. The 1000-cell array costs one read per block, not one per cell.
+// Reading a chain twice costs ~19 reads per pair, and reading each cell by
+// itself ~1000 more in all; either fails here.
+TEST(RecoveryTest, DeviceReadsStayWithinBudget) {
+  constexpr uint64_t kPairs = 1000;
+  constexpr uint64_t kGarbage = 20;
+  Fixture f(/*strict=*/false, 16 << 20);
+  {
+    PRefArray arr(*f.rt, kPairs);
+    f.rt->root().Put("arr", &arr);
+  }
+  f.CleanReopen();
+  const RecoveryReport empty = f.rt->recovery_report();
+  {
+    const auto arr = f.rt->root().GetAs<PRefArray>("arr");
+    for (uint64_t i = 0; i < kPairs; ++i) {
+      Kilo value(*f.rt);
+      value.Pwb();
+      value.Validate();
+      Simple holder(*f.rt, static_cast<int32_t>(i));
+      holder.SetOther(&value);
+      holder.Pwb();
+      holder.Validate();
+      arr->Set(i, &holder);
+    }
+    for (uint64_t i = 0; i < kGarbage; ++i) {
+      Kilo junk(*f.rt);  // validated, never published
+      junk.Pwb();
+      junk.Validate();
+    }
+  }
+  f.CleanReopen();
+  const RecoveryReport& rep = f.rt->recovery_report();
+  EXPECT_EQ(rep.traversed_objects, empty.traversed_objects + 2 * kPairs);
+  EXPECT_EQ(rep.nullified_refs, 0u);
+  // Every garbage block is swept (what the first pass freed was reused).
+  EXPECT_EQ(rep.sweep.freed_blocks, 5 * kGarbage);
+  // The sweep reads one header per garbage block; 256 covers the root map,
+  // the array and the log directory (128 reads on the empty heap).
+  EXPECT_LE(rep.device_reads, 7 * kPairs + 5 * kGarbage + 256);
+  EXPECT_GT(rep.device_reads, empty.device_reads + 7 * kPairs);
 }
 
 // ---- Figure 5: batched validation under a single fence -------------------------

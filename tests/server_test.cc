@@ -739,7 +739,7 @@ TEST(DaxRestart, StatsReportOpenPhasesAndRecords) {
     for (uint32_t i = 0; i < opts.nshards; ++i) {
       const std::string shard = "shard" + std::to_string(i) + ":";
       EXPECT_EQ(StatsLineField(stats, shard, "records="), records[i]) << stats;
-      for (const char* phase : {"open_heap_us=", "open_index_us=",
+      for (const char* phase : {"open_heap_us=", "open_heap_reads=", "open_index_us=",
                                 "open_log_us=", "open_slots_us="}) {
         const auto us = StatsLineField(stats, shard, phase);
         ASSERT_TRUE(us.has_value()) << shard << phase << "\n" << stats;

@@ -272,10 +272,13 @@ int main(int argc, char** argv) {
   std::printf("\nrecovery report (from opening this image):\n");
   const auto& rep = rt->recovery_report();
   std::printf("  redo logs: %u replayed, %u aborted; %" PRIu64
-              " objects traversed, %" PRIu64 " refs nullified, %" PRIu64
-              " blocks freed\n",
+              " objects traversed, %" PRIu64 " pool slots live, %" PRIu64
+              " refs nullified, %" PRIu64 " blocks freed\n",
               rep.replay.replayed_logs, rep.replay.aborted_logs,
-              rep.traversed_objects, rep.nullified_refs, rep.sweep.freed_blocks);
+              rep.traversed_objects, rep.live_pool_slots, rep.nullified_refs,
+              rep.sweep.freed_blocks);
+  std::printf("  device   : %" PRIu64 " reads, %" PRIu64 " writes\n", rep.device_reads,
+              rep.device_writes);
 
   std::printf("\nintegrity audit: ");
   const auto report =
